@@ -1,16 +1,19 @@
 // google-benchmark microbenchmarks of the kernels behind Table I: the
 // batched dense expansions, the band-diagonal interpolation, the
 // diagonal translations, and the 9-type near-field pass — plus the full
-// MLFMA apply and one forward solve.
+// MLFMA apply, the near-field block-Jacobi preconditioner's factor and
+// apply, and one forward solve.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "fft/fft2.hpp"
 #include "forward/forward.hpp"
+#include "forward/precond.hpp"
 #include "greens/nearfield.hpp"
 #include "linalg/gemm.hpp"
 #include "mlfma/engine.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phantom/phantom.hpp"
 
 using namespace ffw;
@@ -146,6 +149,89 @@ static void BM_Fft2PanelRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft2PanelRoundTrip)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// The near-field block-Jacobi preconditioner (forward/precond.hpp) on a
+// 64x64 strong-contrast (0.3) blob: LU-factoring every leaf self block,
+// and one M^{-1} apply over nrhs columns, at leaf side 8 (np = 64) and 16
+// (np = 256), on 1 thread and on every hardware thread. "Mcmac/s" counts
+// complex multiply-accumulates: sum_k (np-1-k)^2 per block factorisation
+// and np^2 per block and column for an apply (both triangles plus the
+// diagonal divisions).
+struct PrecondFixture {
+  Grid grid{64};
+  QuadTree tree;
+  MlfmaEngine engine;
+  cvec o_clu;
+  explicit PrecondFixture(int leaf)
+      : tree(grid, leaf), engine(tree), o_clu(grid.num_pixels()) {
+    const cvec deps =
+        gaussian_blob(grid, Vec2{0.0, 0.0}, 0.6, cplx{0.3, 0.0});
+    tree.to_cluster_order(contrast_from_permittivity(grid, deps), o_clu);
+  }
+  std::size_t np() const {
+    return static_cast<std::size_t>(tree.pixels_per_leaf());
+  }
+};
+
+PrecondFixture& precond_fixture(std::int64_t np) {
+  static PrecondFixture leaf8(8), leaf16(16);
+  return np == 64 ? leaf8 : leaf16;
+}
+
+static void PrecondArgs(benchmark::internal::Benchmark* b, bool sweep_nrhs) {
+  b->ArgNames({"np", "nrhs", "threads"});
+  for (const std::int64_t np : {64, 256})
+    for (const std::int64_t nrhs : {1, 16}) {
+      if (!sweep_nrhs && nrhs > 1) continue;
+      for (const std::int64_t t : {1, hardware_threads()})
+        b->Args({np, nrhs, t});
+    }
+}
+
+static void BM_NearFieldPrecondFactor(benchmark::State& state) {
+  PrecondFixture& f = precond_fixture(state.range(0));
+  set_num_threads(static_cast<int>(state.range(2)));
+  std::size_t blocks = 0;
+  for (auto _ : state) {
+    const NearFieldBlockJacobi m(f.engine.nearfield().type(4), f.o_clu);
+    blocks = m.num_blocks();
+    benchmark::DoNotOptimize(m.bytes());
+  }
+  set_num_threads(0);
+  const double n = static_cast<double>(f.np());
+  state.counters["Mcmac/s"] = benchmark::Counter(
+      1e-6 * static_cast<double>(blocks) * (n - 1) * n * (2 * n - 1) / 6,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_NearFieldPrecondFactor)
+    ->Apply([](auto* b) { PrecondArgs(b, false); })
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+static void BM_NearFieldPrecondApply(benchmark::State& state) {
+  PrecondFixture& f = precond_fixture(state.range(0));
+  const auto nrhs = static_cast<std::size_t>(state.range(1));
+  set_num_threads(static_cast<int>(state.range(2)));
+  const NearFieldBlockJacobi m(f.engine.nearfield().type(4), f.o_clu);
+  const BlockLayout lo{f.np(), nrhs, m.num_blocks()};
+  Rng rng(10);
+  cvec x(lo.size()), z(lo.size());
+  rng.fill_cnormal(x);
+  for (auto _ : state) {
+    m.apply(x, z, lo);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  set_num_threads(0);
+  const double n = static_cast<double>(f.np());
+  state.counters["Mcmac/s"] = benchmark::Counter(
+      1e-6 * static_cast<double>(lo.npanels * nrhs) * n * n,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_NearFieldPrecondApply)
+    ->Apply([](auto* b) { PrecondArgs(b, true); })
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 static void BM_ForwardSolve(benchmark::State& state) {
   Fixture& f = fixture128();

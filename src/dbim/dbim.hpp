@@ -128,8 +128,11 @@ struct DbimHistory {
   /// reconstruction — the cost metric the iteration-reduction layer
   /// (preconditioning + forcing + recycling) targets.
   std::uint64_t bicgstab_iterations = 0;
-  /// Wall time spent LU-factoring the near-field block preconditioner
-  /// (zero when near_precondition is off).
+  /// Wall time spent LU-factoring the near-field block preconditioner:
+  /// zero when near_precondition is off or no MLFMA solve ran (the
+  /// factors are built by the first solve that uses them). The
+  /// distributed drivers sum it over ranks, and count the solve totals
+  /// above once per illumination group.
   double precond_setup_seconds = 0.0;
   /// Backend policy the run was configured with, and whether a kAuto run
   /// escalated from CBS to MLFMA along the way.

@@ -1,10 +1,10 @@
 #include "dbim/parallel_driver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 
+#include "common/timer.hpp"
 #include "forward/precond.hpp"
 #include "forward/recycle.hpp"
 #include "linalg/kernels.hpp"
@@ -49,6 +49,9 @@ struct RankCtx {
   cvec phi_b;
   std::vector<int> local_t;              // transmitters of this group
   BlockLayout lo;                        // local block layout (nrhs = |local_t|)
+  // This rank's share of the returned DbimHistory totals.
+  std::uint64_t solves = 0, krylov_iters = 0, applications = 0;
+  double precond_setup_s = 0.0;
 
   DotReducer tree_reduce() {
     return DotReducer{
@@ -96,17 +99,52 @@ struct RankCtx {
   }
 
   BlockBicgstabResult solve_forward_block(ccspan rhs, cspan x) {
-    return block_bicgstab(
+    return tally(block_bicgstab(
         [this](ccspan in, cspan out) { forward_op_block(in, out); }, rhs, x,
         lo, krylov_opts(), tree_reduce(),
-        PrecondContext{precond.get(), lo, /*herm=*/false});
+        PrecondContext{precond.get(), lo, /*herm=*/false}));
   }
 
   BlockBicgstabResult solve_adjoint_block(ccspan rhs, cspan x) {
-    return block_bicgstab(
+    return tally(block_bicgstab(
         [this](ccspan in, cspan out) { adjoint_op_block(in, out); }, rhs, x,
         lo, krylov_opts(), tree_reduce(),
-        PrecondContext{precond.get(), lo, /*herm=*/true});
+        PrecondContext{precond.get(), lo, /*herm=*/true}));
+  }
+
+  BlockBicgstabResult tally(BlockBicgstabResult res) {
+    solves += res.rhs.size();
+    krylov_iters += res.total_iterations();
+    applications += static_cast<std::uint64_t>(res.block_matvecs) * lo.nrhs;
+    return res;
+  }
+
+  /// Rebuilds the rank-local block-Jacobi for the current background
+  /// contrast: rank-local leaf self blocks only, so the factorisation is
+  /// communication-free.
+  void refactor_precond() {
+    Timer t;
+    precond = std::make_unique<NearFieldBlockJacobi>(
+        pm->nearfield().type(4), ccspan{o_loc}, Precision::kDouble);
+    precond_setup_s += t.seconds();
+  }
+
+  /// Fills the work totals of `h` from every rank in `ranks`
+  /// (collective over them). The ranks of a tree group share each block
+  /// solve, so solves, Krylov iterations and operator applications are
+  /// counted once per tree group, as the serial driver counts them;
+  /// factor seconds are summed over all ranks.
+  void reduce_history(DbimHistory& h, std::span<const int> ranks) {
+    const bool leader = tree_rank == 0;
+    double buf[4] = {leader ? static_cast<double>(solves) : 0.0,
+                     leader ? static_cast<double>(krylov_iters) : 0.0,
+                     leader ? static_cast<double>(applications) : 0.0,
+                     precond_setup_s};
+    comm->group_allreduce_sum(rspan{buf, 4}, ranks);
+    h.forward_solves = static_cast<std::uint64_t>(buf[0]);
+    h.bicgstab_iterations = static_cast<std::uint64_t>(buf[1]);
+    h.operator_applications = static_cast<std::uint64_t>(buf[2]);
+    h.precond_setup_seconds = buf[3];
   }
 
   /// G_R projections of all block columns at once: cols[t] = G_R v_t,
@@ -247,7 +285,7 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
   // Shared result buffers (group 0 / rank 0 write disjoint parts).
   cvec out_cluster(npix, cplx{});
   std::vector<double> history;
-  std::atomic<std::uint64_t> total_matvecs{0};
+  DbimHistory totals;  // work totals, written by rank 0
 
   // Crash-recovery state: set between (re)runs by the supervisor loop
   // below, read-only while rank threads are live.
@@ -336,13 +374,7 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
     DotReducer red = ctx.tree_reduce();
 
     for (int iter = start_iter; iter < config.dbim.max_iterations; ++iter) {
-      // Rebuild the rank-local block-Jacobi for the current background
-      // contrast: rank-local leaf self blocks only, so the factorisation
-      // is communication-free.
-      if (config.dbim.near_precondition) {
-        ctx.precond = std::make_unique<NearFieldBlockJacobi>(
-            pm.nearfield().type(4), ccspan{ctx.o_loc}, Precision::kDouble);
-      }
+      if (config.dbim.near_precondition) ctx.refactor_precond();
       if (config.dbim.adaptive_forcing) {
         const double base = config.forward.tol;
         const double cap = std::max(base, config.dbim.forcing_cap);
@@ -480,6 +512,9 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
       }
     }
 
+    DbimHistory run_totals;
+    ctx.reduce_history(run_totals, ctx.all_ranks);
+    if (comm.rank() == 0) totals = run_totals;
     if (ctx.group == 0) {
       std::copy(ctx.o_loc.begin(), ctx.o_loc.end(),
                 out_cluster.begin() +
@@ -546,10 +581,8 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
   DbimResult out;
   out.contrast.assign(npix, cplx{});
   tree.to_natural_order(out_cluster, out.contrast);
-  out.history.relative_residual = std::move(history);
-  out.history.forward_solves = static_cast<std::uint64_t>(
-      3 * t_count * config.dbim.max_iterations);
-  out.history.operator_applications = total_matvecs.load();
+  totals.relative_residual = std::move(history);
+  out.history = std::move(totals);
   return out;
 }
 
@@ -639,10 +672,7 @@ DbimResult dbim_reconstruct_windowed(Comm& comm, const PartitionedMlfma& pm,
   DotReducer red = ctx.tree_reduce();
 
   for (int iter = 0; iter < config.dbim.max_iterations; ++iter) {
-    if (config.dbim.near_precondition) {
-      ctx.precond = std::make_unique<NearFieldBlockJacobi>(
-          pm.nearfield().type(4), ccspan{ctx.o_loc}, Precision::kDouble);
-    }
+    if (config.dbim.near_precondition) ctx.refactor_precond();
     if (config.dbim.adaptive_forcing) {
       const double base = config.forward.tol;
       const double cap = std::max(base, config.dbim.forcing_cap);
@@ -756,11 +786,10 @@ DbimResult dbim_reconstruct_windowed(Comm& comm, const PartitionedMlfma& pm,
   comm.group_bcast(cspan{out_cluster}, window_ranks);
 
   DbimResult out;
+  ctx.reduce_history(out.history, window_ranks);
   out.contrast.assign(npix, cplx{});
   tree.to_natural_order(out_cluster, out.contrast);
   out.history.relative_residual = std::move(history);
-  out.history.forward_solves = static_cast<std::uint64_t>(
-      3 * t_count * static_cast<int>(out.history.relative_residual.size()));
   return out;
 }
 

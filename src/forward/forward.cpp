@@ -33,23 +33,19 @@ void ForwardSolver::set_near_preconditioner(bool enable, Precision storage) {
   FFW_CHECK_MSG(!(enable && use_jacobi_),
                 "diagonal Jacobi and near-field block preconditioners are "
                 "mutually exclusive");
+  FFW_CHECK_MSG(!enable ||
+                    engine_->nearfield().precision() == Precision::kDouble,
+                "near-field block preconditioner needs the fp64 reference "
+                "engine's near-field tables");
   use_near_ = enable;
   near_storage_ = storage;
-  refresh_preconditioner();
+  near_precond_.reset();
 }
 
 void ForwardSolver::refresh_preconditioner() {
-  if (use_near_) {
-    FFW_CHECK_MSG(engine_->nearfield().precision() == Precision::kDouble,
-                  "near-field block preconditioner needs the fp64 reference "
-                  "engine's near-field tables");
-    Timer t;
-    near_precond_ = std::make_unique<NearFieldBlockJacobi>(
-        engine_->nearfield().type(4), ccspan{contrast_clu_}, near_storage_);
-    stats_.precond_setup_seconds += t.seconds();
-  } else {
-    near_precond_.reset();
-  }
+  // Near-field factors go stale with the contrast; the next MLFMA solve
+  // refactors them (precond_ctx), so CBS-routed iterations never pay.
+  near_precond_.reset();
   if (!use_jacobi_) {
     minv_clu_.clear();
     return;
@@ -63,8 +59,14 @@ void ForwardSolver::refresh_preconditioner() {
   }
 }
 
-PrecondContext ForwardSolver::precond_ctx(std::size_t nrhs, bool herm) const {
-  if (near_precond_ == nullptr) return {};
+PrecondContext ForwardSolver::precond_ctx(std::size_t nrhs, bool herm) {
+  if (!use_near_) return {};
+  if (near_precond_ == nullptr) {
+    Timer t;
+    near_precond_ = std::make_unique<NearFieldBlockJacobi>(
+        engine_->nearfield().type(4), ccspan{contrast_clu_}, near_storage_);
+    stats_.precond_setup_seconds += t.seconds();
+  }
   return PrecondContext{near_precond_.get(), block_layout(nrhs), herm};
 }
 

@@ -32,15 +32,22 @@ class ForwardSolver : public ForwardBackend {
   bool jacobi_preconditioner() const { return use_jacobi_; }
 
   /// Near-field block-Jacobi right preconditioning (forward/precond.hpp):
-  /// the per-leaf self blocks I - A_self diag(O_c) are LU-factored on
-  /// every set_contrast and applied inside every solve — forward,
-  /// adjoint, blocked, and the mixed-precision refined solves. `storage`
-  /// = Precision::kMixed keeps the factors in fp32 (pairs with a mixed
+  /// the per-leaf self blocks I - A_self diag(O_c), applied inside every
+  /// MLFMA solve — forward, adjoint, blocked, and the mixed-precision
+  /// refined solves. Factoring is lazy: enabling and set_contrast only
+  /// mark the factors stale, and the first solve that uses them factors
+  /// the leaf blocks in parallel (counted in
+  /// ForwardStats::precond_setup_seconds), so a contrast no MLFMA solve
+  /// sees is never factored. The factors depend only on the contrast, so
+  /// when they are built does not move any bit. `storage` =
+  /// Precision::kMixed keeps the factors in fp32 (pairs with a mixed
   /// inner engine; final accuracy is unaffected — the preconditioner
-  /// only steers the Krylov space). Mutually exclusive with the diagonal
-  /// Jacobi preconditioner.
+  /// only steers the Krylov space). Needs fp64 near-field tables.
+  /// Mutually exclusive with the diagonal Jacobi preconditioner.
   void set_near_preconditioner(bool enable,
                                Precision storage = Precision::kDouble);
+  /// The current factors: nullptr while disabled or stale (before the
+  /// first MLFMA solve since enabling or the last set_contrast).
   const NearFieldBlockJacobi* near_preconditioner() const {
     return near_precond_.get();
   }
@@ -154,9 +161,9 @@ class ForwardSolver : public ForwardBackend {
   void record_block_stats(const BlockBicgstabResult& res,
                           std::uint64_t applications_before);
   /// Handle for the Krylov solvers: the active near-field block
-  /// preconditioner over `nrhs` columns, or empty (identity) when
-  /// disabled.
-  PrecondContext precond_ctx(std::size_t nrhs, bool herm) const;
+  /// preconditioner over `nrhs` columns (factored here if stale), or
+  /// empty (identity) when disabled.
+  PrecondContext precond_ctx(std::size_t nrhs, bool herm);
 
   MlfmaEngine* engine_;
   MlfmaEngine* mixed_ = nullptr;  // optional fp32 accelerator (not owned)

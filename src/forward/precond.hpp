@@ -66,11 +66,15 @@ struct PrecondContext {
 /// Block-Jacobi over the leaf self blocks: M = diag_c(I - A_self O_c)
 /// with A_self the shared np x np near-field self matrix
 /// (NearFieldOperators::type(4)) and O_c the contrast diagonal of leaf
-/// panel c. Factored once per contrast update with the dense LU of
-/// linalg/lu; under Precision::kMixed the factors are stored (and the
+/// panel c. The constructor factors every leaf block with the dense LU
+/// of linalg/lu; under Precision::kMixed the factors are stored (and the
 /// triangular solves run) in fp32 — half the streamed bytes, and exactly
 /// the precision regime of the mixed inner Krylov sweeps they
-/// precondition.
+/// precondition. Factoring and applying both run leaf blocks in
+/// parallel (parallel_for, per-thread scratch); an apply runs each
+/// block's triangular sweeps across all nrhs columns at once. Blocks are
+/// independent and each column sees the arithmetic of a single-vector
+/// solve, so the result is bit-identical at any thread count and nrhs.
 class NearFieldBlockJacobi final : public Preconditioner {
  public:
   /// `contrast_clu` is the cluster-ordered contrast covering the leaves

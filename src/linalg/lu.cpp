@@ -1,36 +1,64 @@
 #include "linalg/lu.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace ffw {
 
-LuFactors::LuFactors(CMatrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
-  FFW_CHECK_MSG(lu_.rows() == lu_.cols(), "LU requires a square matrix");
-  const std::size_t n = lu_.rows();
+void lu_factor_inplace(cplx* a, std::size_t n, std::size_t* perm) {
+  std::vector<std::size_t> stops;  // rows with a zero multiplier, then n
   for (std::size_t k = 0; k < n; ++k) {
+    cplx* colk = a + k * n;
     // Partial pivot: largest |value| in column k at or below the diagonal.
     std::size_t piv = k;
-    double best = std::abs(lu_(k, k));
+    double best = std::abs(colk[k]);
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double v = std::abs(lu_(r, k));
+      const double v = std::abs(colk[r]);
       if (v > best) {
         best = v;
         piv = r;
       }
     }
     FFW_CHECK_MSG(best > 0.0, "singular matrix in LU");
-    perm_[k] = piv;
+    perm[k] = piv;
     if (piv != k) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(piv, c));
+      for (std::size_t c = 0; c < n; ++c)
+        std::swap(a[c * n + k], a[c * n + piv]);
     }
-    const cplx dk = lu_(k, k);
+    const cplx dk = colk[k];
+    stops.clear();
     for (std::size_t r = k + 1; r < n; ++r) {
-      const cplx m = lu_(r, k) / dk;
-      lu_(r, k) = m;
-      if (m == cplx{0.0}) continue;
-      for (std::size_t c = k + 1; c < n; ++c) lu_(r, c) -= m * lu_(k, c);
+      colk[r] /= dk;
+      if (colk[r] == cplx{0.0}) stops.push_back(r);
+    }
+    stops.push_back(n);
+    // Trailing update column by column, so the inner loop runs down a
+    // column of the column-major storage. Each entry receives the same
+    // single update per pivot step as a row-by-row sweep, with the same
+    // rounding (lu_mul_sub), so the loop order does not move a bit. Rows
+    // with a zero multiplier are skipped: the update runs over the row
+    // ranges between them (almost always the single range k+1..n-1).
+    const double* mk = reinterpret_cast<const double*>(colk);
+    for (std::size_t c = k + 1; c < n; ++c) {
+      double* cc = reinterpret_cast<double*>(a + c * n);
+      const double ur = cc[2 * k], ui = cc[2 * k + 1];
+      std::size_t begin = k + 1;
+      for (const std::size_t stop : stops) {
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+        for (std::size_t r = begin; r < stop; ++r)
+          lu_mul_sub(cc[2 * r], cc[2 * r + 1], mk[2 * r], mk[2 * r + 1], ur,
+                     ui);
+        begin = stop + 1;
+      }
     }
   }
+}
+
+LuFactors::LuFactors(CMatrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
+  FFW_CHECK_MSG(lu_.rows() == lu_.cols(), "LU requires a square matrix");
+  lu_factor_inplace(lu_.data(), lu_.rows(), perm_.data());
 }
 
 cvec LuFactors::solve(ccspan b) const {

@@ -3,6 +3,7 @@
 // trajectory (up to floating-point ordering) and the same image.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "dbim/parallel_driver.hpp"
@@ -84,6 +85,95 @@ TEST(ParallelDbim, IlluminationSyncTrafficIsTwicePerIteration) {
   // the same pattern. Bound: well under 100 messages per iteration, and
   // zero MLFMA halo bytes (tree not partitioned).
   EXPECT_LT(t.total_messages(), 100u * 3u);
+}
+
+// The returned history reports the ranks' real block-BiCGStab work:
+// solves, Krylov iterations, operator applications and near-field
+// factor time, counted the way the serial driver counts them.
+TEST(ParallelDbim, HistoryReportsTheRanksSolveWork) {
+  SceneFixture f;
+  DbimOptions opts;
+  opts.max_iterations = 3;
+  opts.near_precondition = true;
+  const DbimResult serial = dbim_reconstruct(
+      f.scene->engine(), f.scene->transceivers(), f.scene->measurements(),
+      opts);
+
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim = opts;
+  VCluster vc(4);
+  const DbimResult par = dbim_reconstruct_parallel(
+      vc, f.scene->tree(), f.scene->transceivers(), f.scene->measurements(),
+      pcfg);
+
+  const DbimHistory& h = par.history;
+  ASSERT_EQ(h.relative_residual.size(), 3u);
+  EXPECT_EQ(h.forward_solves, 3u * 8u * 3u);  // 3 passes x T x iterations
+  EXPECT_EQ(h.forward_solves, serial.history.forward_solves);
+  EXPECT_GT(h.bicgstab_iterations, 0u);
+  EXPECT_GT(h.operator_applications, h.forward_solves);
+  EXPECT_GT(h.precond_setup_seconds, 0.0);
+  const double iters = static_cast<double>(serial.history.bicgstab_iterations);
+  EXPECT_NEAR(static_cast<double>(h.bicgstab_iterations), iters, 0.25 * iters);
+}
+
+// A run that stops early reports the solves it actually ran, not the
+// nominal 3 * T * max_iterations.
+TEST(ParallelDbim, HistoryCountsOnlyTheIterationsRun) {
+  SceneFixture f;
+  constexpr std::uint64_t kT = 8;
+  DbimOptions opts;
+  opts.max_iterations = 8;
+  const DbimResult full = dbim_reconstruct(
+      f.scene->engine(), f.scene->transceivers(), f.scene->measurements(),
+      opts);
+  const auto& r = full.history.relative_residual;
+  ASSERT_GE(r.size(), 3u);
+  ASSERT_LT(r[2], 0.9 * r[1]);  // a clear gap for the stopping rule
+
+  // residual_tol stops after the residual and gradient passes of the
+  // third iteration: 3 T solves per full iteration plus 2 T.
+  opts.residual_tol = std::sqrt(r[1] * r[2]);
+  const DbimResult serial = dbim_reconstruct(
+      f.scene->engine(), f.scene->transceivers(), f.scene->measurements(),
+      opts);
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim = opts;
+  VCluster vc(4);
+  const DbimResult par = dbim_reconstruct_parallel(
+      vc, f.scene->tree(), f.scene->transceivers(), f.scene->measurements(),
+      pcfg);
+  ASSERT_EQ(par.history.relative_residual.size(), 3u);
+  EXPECT_EQ(par.history.forward_solves, kT * (3 * 2 + 2));
+  EXPECT_EQ(par.history.forward_solves, serial.history.forward_solves);
+
+  // The windowed driver's plateau rule stops after a full iteration:
+  // exactly 3 T solves per iteration run.
+  WindowedDbimConfig wcfg;
+  wcfg.illum_groups = 2;
+  wcfg.tree_ranks = 2;
+  wcfg.dbim.max_iterations = 8;
+  wcfg.plateau_window = 1;
+  wcfg.plateau_rtol = 0.5;
+  const PartitionedMlfma pm(f.scene->tree(), MlfmaParams{}, 2);
+  DbimHistory windowed;
+  VCluster wvc(4);
+  wvc.run([&](Comm& comm) {
+    const DbimResult res = dbim_reconstruct_windowed(
+        comm, pm, f.scene->tree(), f.scene->transceivers(),
+        f.scene->measurements(), wcfg);
+    if (comm.rank() == 0) windowed = res.history;
+  });
+  const std::size_t ran = windowed.relative_residual.size();
+  ASSERT_GT(ran, 0u);
+  ASSERT_LT(ran, 8u) << "plateau rule never fired";
+  EXPECT_EQ(windowed.forward_solves, 3 * kT * ran);
+  EXPECT_GT(windowed.operator_applications, windowed.forward_solves);
+  EXPECT_GT(windowed.bicgstab_iterations, 0u);
 }
 
 TEST(ParallelDbim, SurvivesInjectedCrashesViaCheckpointRestart) {

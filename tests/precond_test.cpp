@@ -17,6 +17,7 @@
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phantom/setup.hpp"
 #include "vcluster/fault.hpp"
 
@@ -112,6 +113,58 @@ TEST(NearFieldBlockJacobi, MixedStorageSolvesToFp32Accuracy) {
   EXPECT_GT(d, 1e-12);  // and they really are fp32, not fp64 copies
 }
 
+// The multi-RHS triangular sweeps keep each column's arithmetic: an
+// nrhs = 16 apply matches 16 single-column applies bit for bit, for
+// M^{-1} and M^{-H} in both storage precisions, and factors and applies
+// built at 4 threads match those built at 1 thread.
+TEST(NearFieldBlockJacobi, BlockApplyMatchesColumnAppliesBitForBit) {
+  LeafFixture f;
+  const CMatrix& self = f.engine.nearfield().type(4);
+  const std::size_t nrhs = 16;
+  const BlockLayout lo{f.np, nrhs, f.nleaf}, lo1{f.np, 1, f.nleaf};
+  Rng rng(76);
+  cvec x(lo.size());
+  rng.fill_cnormal(x);
+  for (const Precision p : {Precision::kDouble, Precision::kMixed}) {
+    for (const bool herm : {false, true}) {
+      cvec ref;
+      for (const int threads : {1, 4}) {
+        set_num_threads(threads);
+        const NearFieldBlockJacobi m(self, f.o_clu, p);
+        cvec z(lo.size()), zc(lo.size()), xr(lo1.size()), zr(lo1.size());
+        if (herm) {
+          m.apply_herm(x, z, lo);
+        } else {
+          m.apply(x, z, lo);
+        }
+        for (std::size_t r = 0; r < nrhs; ++r) {
+          block_col_get(lo, x, r, xr);
+          if (herm) {
+            m.apply_herm(xr, zr, lo1);
+          } else {
+            m.apply(xr, zr, lo1);
+          }
+          block_col_set(lo, zc, r, zr);
+        }
+        const std::string what = std::string(herm ? "M^-H" : "M^-1") +
+                                 (p == Precision::kMixed ? " fp32" : " fp64") +
+                                 " at " + std::to_string(threads) +
+                                 " threads";
+        EXPECT_EQ(std::memcmp(z.data(), zc.data(), z.size() * sizeof(cplx)), 0)
+            << what << ": nrhs = 16 apply vs 16 column applies";
+        if (ref.empty()) {
+          ref = z;
+        } else {
+          EXPECT_EQ(
+              std::memcmp(z.data(), ref.data(), z.size() * sizeof(cplx)), 0)
+              << what << " vs 1 thread";
+        }
+      }
+    }
+  }
+  set_num_threads(0);
+}
+
 // The preconditioner must not move the answer: with a tight tolerance
 // every preconditioned solve path agrees with the unpreconditioned one
 // to 1e-10 on a homogeneous cylinder, while spending fewer iterations.
@@ -130,8 +183,9 @@ TEST(PrecondForward, MatchesUnpreconditionedSolvesOnCylinder) {
   plain.set_contrast(contrast);
   pre.set_near_preconditioner(true);
   pre.set_contrast(contrast);
-  ASSERT_NE(pre.near_preconditioner(), nullptr);
-  EXPECT_GT(pre.stats().precond_setup_seconds, 0.0);
+  // Factoring is lazy: nothing is factored before a solve needs it.
+  EXPECT_EQ(pre.near_preconditioner(), nullptr);
+  EXPECT_EQ(pre.stats().precond_setup_seconds, 0.0);
 
   Rng rng(73);
   cvec rhs(n);
@@ -140,6 +194,8 @@ TEST(PrecondForward, MatchesUnpreconditionedSolvesOnCylinder) {
   cvec phi_a(n, cplx{}), phi_b(n, cplx{});
   const auto ra = plain.solve(rhs, phi_a);
   const auto rb = pre.solve(rhs, phi_b);
+  ASSERT_NE(pre.near_preconditioner(), nullptr);
+  EXPECT_GT(pre.stats().precond_setup_seconds, 0.0);
   ASSERT_TRUE(ra.converged && rb.converged);
   EXPECT_LT(rel_l2_diff(phi_b, phi_a), 1e-10);
   EXPECT_LT(rb.iterations, ra.iterations) << "preconditioner saved nothing";
@@ -358,6 +414,160 @@ TEST(DbimAccel, ObsCountersTrackThePipeline) {
   EXPECT_GT(at(obs::Counter::kPrecondApplyNs), 0u);
   // Gradient/step recyclers have snapshots from iteration 2 onward.
   EXPECT_GT(at(obs::Counter::kRecycleHits), 0u);
+}
+
+// FNV-1a over the image and the residual history: one number that moves
+// with any bit of the reconstruction.
+std::uint64_t result_hash(const DbimResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 1099511628211ull;
+  };
+  mix(r.contrast.data(), r.contrast.size() * sizeof(cplx));
+  mix(r.history.relative_residual.data(),
+      r.history.relative_residual.size() * sizeof(double));
+  return h;
+}
+
+// The same bits at any OpenMP thread count (ROADMAP aim 3): the
+// preconditioner factors and applies leaf blocks in parallel, so a
+// preconditioned DBIM hashes identically at 1..4 threads, with fp64
+// factors and with the mixed engine's fp32 factors.
+class ThreadInvariance : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ThreadInvariance, PreconditionedDbimHashesIdenticallyAtAnyThreadCount) {
+  const bool mixed = GetParam();
+  ScenarioConfig cfg;
+  cfg.nx = 64;
+  cfg.num_transmitters = 8;
+  cfg.num_receivers = 24;
+  const Grid grid(cfg.nx);
+  Scenario scene(cfg,
+                 gaussian_blob(grid, Vec2{0.3, -0.2}, 0.5, cplx{0.05, 0.0}));
+  MlfmaParams mp;
+  mp.precision = Precision::kMixed;
+  std::unique_ptr<MlfmaEngine> mixed_engine;
+  DbimOptions opts;
+  opts.max_iterations = 3;
+  opts.near_precondition = true;
+  if (mixed) {
+    mixed_engine = std::make_unique<MlfmaEngine>(scene.tree(), mp);
+    opts.mixed_engine = mixed_engine.get();
+  }
+  std::uint64_t ref = 0;
+  for (int threads = 1; threads <= 4; ++threads) {
+    set_num_threads(threads);
+    const DbimResult r = dbim_reconstruct(
+        scene.engine(), scene.transceivers(), scene.measurements(), opts);
+    ASSERT_EQ(r.history.relative_residual.size(), 3u);
+    EXPECT_GT(r.history.precond_setup_seconds, 0.0);
+    if (threads == 1) {
+      ref = result_hash(r);
+    } else {
+      EXPECT_EQ(result_hash(r), ref) << threads << " threads vs 1";
+    }
+  }
+  set_num_threads(0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Precisions, ThreadInvariance, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Mixed" : "Fp64";
+                         });
+
+// Lazy factoring: a kAuto run that stays on CBS never applies the
+// near-field preconditioner, so it must never factor it either.
+TEST(LazyPrecond, CbsRoutedDbimNeverFactors) {
+  AccelScene f;
+  DbimOptions opts = f.accel_options(3);
+  opts.backend = BackendKind::kAuto;
+  obs::set_enabled(true);
+  obs::reset();
+  const auto setup_ns = [] {
+    return obs::counter_totals(
+        0)[static_cast<std::size_t>(obs::Counter::kPrecondSetupNs)];
+  };
+  const std::uint64_t before = setup_ns();
+  const DbimResult r = dbim_reconstruct(
+      f.scene->engine(), f.scene->transceivers(), f.scene->measurements(),
+      opts);
+  const std::uint64_t after = setup_ns();
+  obs::set_enabled(false);
+  ASSERT_EQ(r.history.relative_residual.size(), 3u);
+  EXPECT_FALSE(r.history.cbs_escalated);
+  EXPECT_EQ(r.history.precond_setup_seconds, 0.0);
+  EXPECT_EQ(after, before);
+}
+
+// A kAuto run forced off CBS (an unattainable rate bound escalates on
+// the first converged CBS solve) preconditions its MLFMA solves from
+// then on, and reruns stay bit-identical.
+TEST(LazyPrecond, EscalatedAutoRunFactorsForItsMlfmaSolves) {
+  AccelScene f;
+  DbimOptions opts = f.accel_options(3);
+  opts.backend = BackendKind::kAuto;
+  opts.auto_escalation_rate = 1e-6;
+  obs::set_enabled(true);
+  obs::reset();
+  const DbimResult a = dbim_reconstruct(
+      f.scene->engine(), f.scene->transceivers(), f.scene->measurements(),
+      opts);
+  const auto totals = obs::counter_totals(0);
+  obs::set_enabled(false);
+  const DbimResult b = dbim_reconstruct(
+      f.scene->engine(), f.scene->transceivers(), f.scene->measurements(),
+      opts);
+  EXPECT_TRUE(a.history.cbs_escalated);
+  EXPECT_GT(a.history.precond_setup_seconds, 0.0);
+  EXPECT_GT(totals[static_cast<std::size_t>(obs::Counter::kPrecondApplyNs)],
+            0u);
+  EXPECT_EQ(result_hash(a), result_hash(b));
+}
+
+// When the factors are built cannot move a bit: enabling before or after
+// set_contrast, or after a solve on another contrast, gives the same
+// solutions as a fresh solver.
+TEST(LazyPrecond, EnableOrderDoesNotMoveTheSolution) {
+  Grid grid(32);
+  QuadTree tree(grid);
+  MlfmaEngine engine(tree);
+  const cvec contrast = contrast_from_permittivity(
+      grid, disks(grid, {Disk{Vec2{0.1, -0.1}, 0.5, cplx{0.1, 0.0}}}));
+  const cvec other = contrast_from_permittivity(
+      grid, gaussian_blob(grid, Vec2{-0.2, 0.2}, 0.4, cplx{0.2, 0.0}));
+  const std::size_t n = grid.num_pixels(), nrhs = 3;
+  Rng rng(77);
+  cvec rhs(n * nrhs);
+  rng.fill_cnormal(rhs);
+
+  ForwardSolver before(engine), after(engine), restaled(engine);
+  before.set_near_preconditioner(true);
+  before.set_contrast(contrast);
+  after.set_contrast(contrast);
+  after.set_near_preconditioner(true);
+  restaled.set_near_preconditioner(true);
+  restaled.set_contrast(other);
+  cvec scratch(n * nrhs, cplx{});
+  ASSERT_TRUE(restaled.solve_block(rhs, scratch, nrhs).converged);
+  restaled.set_contrast(contrast);
+
+  const auto solve = [&](ForwardSolver& fs, bool adjoint) {
+    cvec x(n * nrhs, cplx{});
+    const auto res = adjoint ? fs.solve_adjoint_block(rhs, x, nrhs)
+                             : fs.solve_block(rhs, x, nrhs);
+    EXPECT_TRUE(res.converged);
+    return x;
+  };
+  for (const bool adjoint : {false, true}) {
+    const cvec xb = solve(before, adjoint);
+    const cvec xa = solve(after, adjoint);
+    const cvec xr = solve(restaled, adjoint);
+    EXPECT_EQ(std::memcmp(xb.data(), xa.data(), xb.size() * sizeof(cplx)), 0)
+        << (adjoint ? "adjoint" : "forward") << ": enable before vs after";
+    EXPECT_EQ(std::memcmp(xb.data(), xr.data(), xb.size() * sizeof(cplx)), 0)
+        << (adjoint ? "adjoint" : "forward") << ": refactored after restale";
+  }
 }
 
 class AccelDecompositions
