@@ -258,6 +258,9 @@ ContinuationResult continuation_reconstruct_parallel(
         wcfg.dbim = copt.dbim;
         wcfg.dbim.max_iterations = band.max_iterations;
         wcfg.dbim.residual_tol = band.residual_tol;
+        if (trx_tables != nullptr) {
+          wcfg.dbim.incident_panel = trx_tables->incident();
+        }
         wcfg.forward = config.forward;
         wcfg.plateau_window = band.plateau_window;
         wcfg.plateau_rtol = band.plateau_rtol;

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 
 #include "common/timer.hpp"
 #include "forward/precond.hpp"
 #include "forward/recycle.hpp"
 #include "linalg/kernels.hpp"
+#include "obs/obs.hpp"
 #include "service/table_cache.hpp"
 
 namespace ffw {
@@ -17,20 +19,24 @@ namespace {
 /// Rank-local state and sub-operations for one rank of the 2-D grid.
 /// Shared by the cluster-wide driver (dbim_reconstruct_parallel) and
 /// the windowed driver (dbim_reconstruct_windowed), whose 2-D grid
-/// occupies only a window of the cluster's ranks.
+/// occupies only a window of the cluster's ranks; both run the same
+/// outer iteration (iterate()).
 struct RankCtx {
   Comm* comm;
   const PartitionedMlfma* pm;
   const Transceivers* trx;
   const CMatrix* measured;
+  const DbimOptions* dbim;
   BicgstabOptions fw_opts;
+  double meas_norm2 = 0.0;
 
   int group = 0;       // illumination group index
   int tree_rank = 0;   // rank within the tree group
   int rank_base = 0;   // first global rank of this tree group
   std::vector<int> tree_group;    // global ranks sharing this MLFMA
   std::vector<int> column_group;  // same tree_rank across illum groups
-  std::vector<int> all_ranks;
+  /// Sums a scalar over every rank of the 2-D grid.
+  std::function<double(double)> grid_sum;
 
   std::size_t nloc = 0;                  // local pixel count
   std::vector<std::uint32_t> nat_idx;    // natural pixel index per local q
@@ -43,15 +49,88 @@ struct RankCtx {
   double forcing_tol = 0.0;
   std::unique_ptr<NearFieldBlockJacobi> precond;
   KrylovRecycler rec_grad, rec_step;
-  // Background fields of all local transmitters as ONE block vector in
-  // the leaf-interleaved layout (panel = pixels_per_leaf, one column per
-  // local illumination), so the residual pass is a single block solve.
-  cvec phi_b;
+  // Incident and background fields of all local transmitters as ONE
+  // block vector each in the leaf-interleaved layout (panel =
+  // pixels_per_leaf, one column per local illumination), so the
+  // residual pass is a single block solve. The incident block is fixed
+  // for the run and filled once.
+  cvec inc_b, phi_b;
   std::vector<int> local_t;              // transmitters of this group
   BlockLayout lo;                        // local block layout (nrhs = |local_t|)
+  // Outer-loop (Polak-Ribiere+) state: this rank's slices of the
+  // gradient, the previous gradient and the search direction (replicated
+  // across illumination groups), its group's residual columns, and the
+  // replicated scalars. prev_relres < 0 = no completed iteration yet.
+  cvec grad, grad_prev, direction, residuals;
+  double grad_prev_norm2 = 0.0;
+  double prev_relres = -1.0;
   // This rank's share of the returned DbimHistory totals.
   std::uint64_t solves = 0, krylov_iters = 0, applications = 0;
   double precond_setup_s = 0.0;
+
+  /// Places the calling rank on an ig x pm.nranks() grid whose first
+  /// global rank is `base`: illumination group (rank - base) / tr owns
+  /// transmitters group, group + ig, ...; tree rank (rank - base) % tr
+  /// owns PartitionedMlfma slice tree_rank. Fills the incident block
+  /// (from dbim.incident_panel when set) and starts the background
+  /// fields from it with a zero contrast.
+  RankCtx(Comm& c, const PartitionedMlfma& p, const QuadTree& tree,
+          const Transceivers& t, const CMatrix& meas, const DbimOptions& d,
+          const BicgstabOptions& fw, int ig, int base)
+      : comm(&c), pm(&p), trx(&t), measured(&meas), dbim(&d), fw_opts(fw) {
+    const int tr = p.nranks();
+    const int wrank = c.rank() - base;
+    group = wrank / tr;
+    tree_rank = wrank % tr;
+    rank_base = base + group * tr;
+    for (int r = 0; r < tr; ++r) tree_group.push_back(rank_base + r);
+    for (int g = 0; g < ig; ++g)
+      column_group.push_back(base + g * tr + tree_rank);
+    for (std::size_t col = 0; col < meas.cols(); ++col) {
+      const double nn = nrm2(meas.col(col));
+      meas_norm2 += nn * nn;
+    }
+
+    nloc = p.local_pixels(tree_rank);
+    const std::size_t npl = static_cast<std::size_t>(tree.pixels_per_leaf());
+    const std::size_t q0 = p.leaf_begin(tree_rank) * npl;
+    nat_idx.resize(nloc);
+    for (std::size_t q = 0; q < nloc; ++q) nat_idx[q] = tree.perm()[q0 + q];
+    for (int tx = group; tx < t.num_transmitters(); tx += ig)
+      local_t.push_back(tx);
+    o_loc.assign(nloc, cplx{});
+    lo = BlockLayout{npl, local_t.size(), nloc / npl};
+
+    const std::size_t npix = tree.grid().num_pixels();
+    const ccspan panel = d.incident_panel;
+    FFW_CHECK_MSG(panel.empty() ||
+                      panel.size() >= npix * static_cast<std::size_t>(
+                                                 t.num_transmitters()),
+                  "parallel DBIM: incident panel smaller than n x T");
+    inc_b.assign(lo.size(), cplx{});
+    cvec inc(nloc);
+    for (std::size_t i = 0; i < lo.nrhs; ++i) {
+      if (panel.empty()) {
+        t.incident_field_subset(local_t[i], nat_idx, inc);
+      } else {
+        const cplx* col =
+            panel.data() + static_cast<std::size_t>(local_t[i]) * npix;
+        for (std::size_t q = 0; q < nloc; ++q) inc[q] = col[nat_idx[q]];
+      }
+      block_col_set(lo, inc_b, i, inc);
+    }
+    phi_b = inc_b;
+    if (d.recycle_depth > 0) {
+      const RecycleOptions ro{static_cast<std::size_t>(d.recycle_depth),
+                              d.recycle_ridge};
+      rec_grad = KrylovRecycler(ro);
+      rec_step = KrylovRecycler(ro);
+    }
+    grad.assign(nloc, cplx{});
+    grad_prev.assign(nloc, cplx{});
+    direction.assign(nloc, cplx{});
+    residuals.assign(meas.rows() * local_t.size(), cplx{});
+  }
 
   DotReducer tree_reduce() {
     return DotReducer{
@@ -162,29 +241,11 @@ struct RankCtx {
     comm->group_allreduce_sum(cols, tree_group);
   }
 
-  /// (Re)load the incident fields of the local illuminations into the
-  /// phi_b block: the initial state, and — with warm_start_fields off —
-  /// the start of every residual pass, so each iterate is a pure
-  /// function of the outer-loop state (which is what the checkpoint
-  /// stores; the crash-recovery e2e test relies on this).
-  void reset_phi_to_incident() {
-    cvec inc(nloc);
-    for (std::size_t i = 0; i < lo.nrhs; ++i) {
-      trx->incident_field_subset(local_t[i], nat_idx, inc);
-      block_col_set(lo, phi_b, i, inc);
-    }
-  }
-
   /// Residual pass over all local illuminations as one block solve:
   /// returns sum_t ||b_t||^2 and fills `residuals` (R x |local_t|).
   double residual_pass_all(cspan residuals) {
     const std::size_t nr = static_cast<std::size_t>(trx->num_receivers());
-    cvec rhs(lo.size()), inc(nloc);
-    for (std::size_t i = 0; i < lo.nrhs; ++i) {
-      trx->incident_field_subset(local_t[i], nat_idx, inc);
-      block_col_set(lo, rhs, i, inc);
-    }
-    const BlockBicgstabResult res = solve_forward_block(rhs, phi_b);
+    const BlockBicgstabResult res = solve_forward_block(inc_b, phi_b);
     FFW_CHECK_MSG(res.converged, "parallel DBIM forward solve diverged");
     cvec v(lo.size());
     block_diag_mul(lo, o_loc, phi_b, v);
@@ -256,6 +317,110 @@ struct RankCtx {
     }
     return denom;
   }
+
+  /// One DBIM iteration on this rank (paper Fig. 4): residual and
+  /// gradient passes, the gradient combine across illumination groups,
+  /// the Polak-Ribiere+ direction, the step-length pass and the contrast
+  /// update. `record` receives the relative residual as soon as it is
+  /// known. Returns false when the run stops instead of updating — the
+  /// residual reached residual_tol, or the gradient or the step
+  /// denominator vanished; every rank reaches the same verdict.
+  bool iterate(int iter, const std::function<void(double)>& record) {
+    FFW_TRACE_SPAN("dbim.iteration", iter);
+    const DbimOptions& o = *dbim;
+    const double tr = static_cast<double>(tree_group.size());
+    const DotReducer red = tree_reduce();
+    if (o.near_precondition) refactor_precond();
+    if (o.adaptive_forcing) {
+      // Lagged Eisenstat-Walker forcing, as in DbimStepper; on resume
+      // prev_relres comes from the checkpointed residual history, so the
+      // recovered tolerances are bit-identical.
+      const double base = fw_opts.tol;
+      const double cap = std::max(base, o.forcing_cap);
+      forcing_tol = prev_relres >= 0.0
+                        ? std::clamp(o.forcing_c * prev_relres, base, cap)
+                        : cap;
+    }
+    // Pass 1 + 2: residual and gradient, each as one block solve over
+    // the whole local illumination set.
+    std::fill(grad.begin(), grad.end(), cplx{});
+    double cost_loc = 0.0;
+    if (!local_t.empty()) {
+      // Mirror the serial driver's warm-start policy: with
+      // warm_start_fields off the block solve restarts from the
+      // incident fields instead of the previous background fields, and
+      // the recycle histories reset with them (keeps every iterate a
+      // pure function of the checkpointed outer-loop state, which is
+      // what the checkpoint stores; crash recovery relies on this).
+      if (!o.warm_start_fields) {
+        copy(inc_b, phi_b);
+        rec_grad.clear();
+        rec_step.clear();
+      }
+      {
+        FFW_TRACE_SPAN("dbim.residual_pass", iter);
+        cost_loc = residual_pass_all(residuals);
+      }
+      {
+        FFW_TRACE_SPAN("dbim.gradient_pass", iter);
+        gradient_pass_all(residuals, grad);
+      }
+    }
+    // Cost: each illumination's cost is replicated tr times.
+    const double cost = grid_sum(cost_loc) / tr;
+    // Gradient combine across illumination groups (paper Fig. 4 sync 1).
+    comm->group_allreduce_sum(cspan{grad}, column_group);
+    if (o.tikhonov > 0.0) {
+      for (std::size_t q = 0; q < nloc; ++q) grad[q] += o.tikhonov * o_loc[q];
+    }
+
+    const double relres = std::sqrt(cost / meas_norm2);
+    prev_relres = relres;
+    record(relres);
+    if (o.residual_tol > 0.0 && relres < o.residual_tol) return false;
+
+    // Conjugate direction (identical scalars on every rank).
+    double gn_loc = 0.0;
+    for (const auto& v : grad) gn_loc += std::norm(v);
+    const double gnorm2 = red.sum_double(gn_loc);
+    if (gnorm2 == 0.0) return false;
+    double beta = 0.0;
+    if (o.conjugate_gradient && iter > 0 && grad_prev_norm2 > 0.0) {
+      cplx num_loc{};
+      for (std::size_t q = 0; q < nloc; ++q)
+        num_loc += std::conj(grad[q]) * (grad[q] - grad_prev[q]);
+      beta = std::max(0.0, red.sum_cplx(num_loc).real() / grad_prev_norm2);
+    }
+    if (beta == 0.0) {
+      for (std::size_t q = 0; q < nloc; ++q) direction[q] = -grad[q];
+    } else {
+      for (std::size_t q = 0; q < nloc; ++q)
+        direction[q] = -grad[q] + beta * direction[q];
+    }
+
+    // Pass 3: step length (paper Fig. 4 sync 2), one block solve.
+    double denom_loc = 0.0;
+    if (!local_t.empty()) {
+      FFW_TRACE_SPAN("dbim.step_pass", iter);
+      denom_loc = step_pass_all(direction);
+    }
+    double denom = grid_sum(denom_loc) / tr;
+    if (o.tikhonov > 0.0) {
+      double dn_loc = 0.0;
+      for (std::size_t q = 0; q < nloc; ++q) dn_loc += std::norm(direction[q]);
+      denom += o.tikhonov * red.sum_double(dn_loc);
+    }
+    if (denom == 0.0) return false;
+    cplx num_loc{};
+    for (std::size_t q = 0; q < nloc; ++q)
+      num_loc += std::conj(grad[q]) * direction[q];
+    const double alpha = -red.sum_cplx(num_loc).real() / denom;
+    for (std::size_t q = 0; q < nloc; ++q) o_loc[q] += alpha * direction[q];
+
+    copy(grad, grad_prev);
+    grad_prev_norm2 = gnorm2;
+    return true;
+  }
 };
 
 }  // namespace
@@ -274,13 +439,6 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
                 tr)
           : PartitionedMlfma(tree, config.mlfma, tr);
   const std::size_t npix = tree.grid().num_pixels();
-  const int t_count = trx.num_transmitters();
-
-  double meas_norm2 = 0.0;
-  for (std::size_t t = 0; t < measured.cols(); ++t) {
-    const double nn = nrm2(measured.col(t));
-    meas_norm2 += nn * nn;
-  }
 
   // Shared result buffers (group 0 / rank 0 write disjoint parts).
   cvec out_cluster(npix, cplx{});
@@ -293,42 +451,6 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
   bool have_resume = false;
 
   const auto rank_program = [&](Comm& comm) {
-    RankCtx ctx;
-    ctx.comm = &comm;
-    ctx.pm = &pm;
-    ctx.trx = &trx;
-    ctx.measured = &measured;
-    ctx.fw_opts = config.forward;
-    ctx.group = comm.rank() / tr;
-    ctx.tree_rank = comm.rank() % tr;
-    ctx.rank_base = ctx.group * tr;
-    for (int r = 0; r < tr; ++r) ctx.tree_group.push_back(ctx.rank_base + r);
-    for (int g = 0; g < ig; ++g)
-      ctx.column_group.push_back(g * tr + ctx.tree_rank);
-    for (int r = 0; r < vc.size(); ++r) ctx.all_ranks.push_back(r);
-
-    ctx.nloc = pm.local_pixels(ctx.tree_rank);
-    const std::size_t q0 =
-        pm.leaf_begin(ctx.tree_rank) *
-        static_cast<std::size_t>(tree.pixels_per_leaf());
-    ctx.nat_idx.resize(ctx.nloc);
-    for (std::size_t q = 0; q < ctx.nloc; ++q)
-      ctx.nat_idx[q] = tree.perm()[q0 + q];
-
-    for (int t = ctx.group; t < t_count; t += ig) ctx.local_t.push_back(t);
-    ctx.o_loc.assign(ctx.nloc, cplx{});
-    const std::size_t np =
-        static_cast<std::size_t>(tree.pixels_per_leaf());
-    ctx.lo = BlockLayout{np, ctx.local_t.size(), ctx.nloc / np};
-    ctx.phi_b.assign(ctx.lo.size(), cplx{});
-    ctx.reset_phi_to_incident();
-    if (config.dbim.recycle_depth > 0) {
-      const RecycleOptions ro{
-          static_cast<std::size_t>(config.dbim.recycle_depth),
-          config.dbim.recycle_ridge};
-      ctx.rec_grad = KrylovRecycler(ro);
-      ctx.rec_step = KrylovRecycler(ro);
-    }
     if (config.dbim.near_precondition) {
       FFW_CHECK_MSG(pm.nearfield().precision() == Precision::kDouble,
                     "parallel DBIM near-field preconditioner needs fp64 "
@@ -337,21 +459,19 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
     FFW_CHECK_MSG(config.dbim.backend == BackendKind::kMlfma,
                   "parallel DBIM runs on the partitioned MLFMA engine only; "
                   "CBS/auto backend routing is a serial-driver feature");
+    RankCtx ctx(comm, pm, tree, trx, measured, config.dbim, config.forward,
+                ig, /*base=*/0);
+    ctx.grid_sum = [&comm](double v) { return comm.allreduce_sum(v); };
+    std::vector<int> all_ranks;
+    for (int r = 0; r < vc.size(); ++r) all_ranks.push_back(r);
 
-    cvec grad(ctx.nloc), grad_prev(ctx.nloc), direction(ctx.nloc),
-        residuals(measured.rows() * ctx.local_t.size());
-    double grad_prev_norm2 = 0.0;
-    // Lagged Eisenstat-Walker state: the outer residual of the previous
-    // completed iteration (< 0 = none yet). On resume it is recovered
-    // from the checkpointed residual history — binary doubles, so the
-    // recovered forcing tolerances are bit-identical to the fault-free
-    // run's.
-    double prev_relres = -1.0;
     int start_iter = 0;
     if (have_resume) {
       // The checkpoint stores full natural-order arrays, so every rank
       // (the contrast and CG memory are replicated across illumination
-      // groups) restores its cluster-order slice through nat_idx.
+      // groups) restores its cluster-order slice through nat_idx. The
+      // lagged Eisenstat-Walker residual is recovered from the
+      // checkpointed residual history.
       FFW_CHECK_MSG(!resume_state.mixed_precision,
                     "parallel DBIM resume: checkpoint precision policy "
                     "(mixed) does not match this fp64 driver");
@@ -363,105 +483,22 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
                 resume_state.direction.size() == npix);
       for (std::size_t q = 0; q < ctx.nloc; ++q) {
         ctx.o_loc[q] = resume_state.contrast[ctx.nat_idx[q]];
-        grad_prev[q] = resume_state.gradient_prev[ctx.nat_idx[q]];
-        direction[q] = resume_state.direction[ctx.nat_idx[q]];
+        ctx.grad_prev[q] = resume_state.gradient_prev[ctx.nat_idx[q]];
+        ctx.direction[q] = resume_state.direction[ctx.nat_idx[q]];
       }
-      grad_prev_norm2 = std::pow(nrm2(resume_state.gradient_prev), 2);
+      ctx.grad_prev_norm2 = std::pow(nrm2(resume_state.gradient_prev), 2);
       start_iter = resume_state.iteration;
       if (!resume_state.residual_history.empty())
-        prev_relres = resume_state.residual_history.back();
+        ctx.prev_relres = resume_state.residual_history.back();
     }
-    DotReducer red = ctx.tree_reduce();
 
     for (int iter = start_iter; iter < config.dbim.max_iterations; ++iter) {
-      if (config.dbim.near_precondition) ctx.refactor_precond();
-      if (config.dbim.adaptive_forcing) {
-        const double base = config.forward.tol;
-        const double cap = std::max(base, config.dbim.forcing_cap);
-        ctx.forcing_tol =
-            prev_relres >= 0.0
-                ? std::clamp(config.dbim.forcing_c * prev_relres, base, cap)
-                : cap;
-      }
-      // Pass 1 + 2: residual and gradient, each as one block solve over
-      // the whole local illumination set.
-      std::fill(grad.begin(), grad.end(), cplx{});
-      double cost_loc = 0.0;
-      if (!ctx.local_t.empty()) {
-        // Mirror the serial driver's warm-start policy: with
-        // warm_start_fields off the block solve restarts from the
-        // incident fields instead of the previous background fields, and
-        // the recycle histories reset with them (keeps every iterate a
-        // pure function of the checkpointed outer-loop state).
-        if (!config.dbim.warm_start_fields) {
-          ctx.reset_phi_to_incident();
-          ctx.rec_grad.clear();
-          ctx.rec_step.clear();
-        }
-        cost_loc = ctx.residual_pass_all(residuals);
-        ctx.gradient_pass_all(residuals, grad);
-      }
-      // Cost: each illumination's cost is replicated tr times.
-      double buf[1] = {cost_loc};
-      comm.allreduce_sum(rspan{buf, 1});
-      const double cost = buf[0] / tr;
-      // Gradient combine across illumination groups (paper Fig. 4 sync 1).
-      comm.group_allreduce_sum(cspan{grad}, ctx.column_group);
-      if (config.dbim.tikhonov > 0.0) {
-        for (std::size_t q = 0; q < ctx.nloc; ++q)
-          grad[q] += config.dbim.tikhonov * ctx.o_loc[q];
-      }
-
-      const double relres = std::sqrt(cost / meas_norm2);
-      prev_relres = relres;
-      if (comm.rank() == 0) history.push_back(relres);
-      if (config.dbim.progress && comm.rank() == 0)
-        config.dbim.progress(iter, relres);
-      if (config.dbim.residual_tol > 0.0 && relres < config.dbim.residual_tol)
-        break;
-
-      // Conjugate direction (identical scalars on every rank).
-      double gn_loc = 0.0;
-      for (const auto& v : grad) gn_loc += std::norm(v);
-      const double gnorm2 = red.sum_double(gn_loc);
-      if (gnorm2 == 0.0) break;
-      double beta = 0.0;
-      if (config.dbim.conjugate_gradient && iter > 0 &&
-          grad_prev_norm2 > 0.0) {
-        cplx num_loc{};
-        for (std::size_t q = 0; q < ctx.nloc; ++q)
-          num_loc += std::conj(grad[q]) * (grad[q] - grad_prev[q]);
-        beta = std::max(0.0, red.sum_cplx(num_loc).real() / grad_prev_norm2);
-      }
-      if (beta == 0.0) {
-        for (std::size_t q = 0; q < ctx.nloc; ++q) direction[q] = -grad[q];
-      } else {
-        for (std::size_t q = 0; q < ctx.nloc; ++q)
-          direction[q] = -grad[q] + beta * direction[q];
-      }
-
-      // Pass 3: step length (paper Fig. 4 sync 2), one block solve.
-      double denom_loc =
-          ctx.local_t.empty() ? 0.0 : ctx.step_pass_all(direction);
-      double dbuf[1] = {denom_loc};
-      comm.allreduce_sum(rspan{dbuf, 1});
-      double denom = dbuf[0] / tr;
-      if (config.dbim.tikhonov > 0.0) {
-        double dn_loc = 0.0;
-        for (std::size_t q = 0; q < ctx.nloc; ++q)
-          dn_loc += std::norm(direction[q]);
-        denom += config.dbim.tikhonov * red.sum_double(dn_loc);
-      }
-      if (denom == 0.0) break;
-      cplx num_loc{};
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        num_loc += std::conj(grad[q]) * direction[q];
-      const double alpha = -red.sum_cplx(num_loc).real() / denom;
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        ctx.o_loc[q] += alpha * direction[q];
-
-      copy(grad, grad_prev);
-      grad_prev_norm2 = gnorm2;
+      const bool updated = ctx.iterate(iter, [&](double relres) {
+        if (comm.rank() != 0) return;
+        history.push_back(relres);
+        if (config.dbim.progress) config.dbim.progress(iter, relres);
+      });
+      if (!updated) break;
 
       // Atomic checkpoint of the completed iteration: group-0 tree ranks
       // ship their cluster-order slices to global rank 0, which scatters
@@ -476,9 +513,9 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
         if (comm.rank() != 0) {
           cvec pack(3 * ctx.nloc);
           std::copy(ctx.o_loc.begin(), ctx.o_loc.end(), pack.begin());
-          std::copy(grad_prev.begin(), grad_prev.end(),
+          std::copy(ctx.grad_prev.begin(), ctx.grad_prev.end(),
                     pack.begin() + static_cast<std::ptrdiff_t>(ctx.nloc));
-          std::copy(direction.begin(), direction.end(),
+          std::copy(ctx.direction.begin(), ctx.direction.end(),
                     pack.begin() + static_cast<std::ptrdiff_t>(2 * ctx.nloc));
           comm.send(0, kTagCkpt, ccspan{pack});
         } else {
@@ -497,7 +534,7 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
               state.direction[nat] = d[q];
             }
           };
-          scatter(0, ctx.o_loc, grad_prev, direction);
+          scatter(0, ctx.o_loc, ctx.grad_prev, ctx.direction);
           for (int r = 1; r < tr; ++r) {
             const cvec pack = comm.recv<cplx>(r, kTagCkpt);
             const std::size_t nl = pm.local_pixels(r);
@@ -513,7 +550,7 @@ DbimResult dbim_reconstruct_parallel(VCluster& vc, const QuadTree& tree,
     }
 
     DbimHistory run_totals;
-    ctx.reduce_history(run_totals, ctx.all_ranks);
+    ctx.reduce_history(run_totals, all_ranks);
     if (comm.rank() == 0) totals = run_totals;
     if (ctx.group == 0) {
       std::copy(ctx.o_loc.begin(), ctx.o_loc.end(),
@@ -611,26 +648,8 @@ DbimResult dbim_reconstruct_windowed(Comm& comm, const PartitionedMlfma& pm,
                   "near-field tables");
   }
   const std::size_t npix = tree.grid().num_pixels();
-  const int t_count = trx.num_transmitters();
+  const std::size_t npl = static_cast<std::size_t>(tree.pixels_per_leaf());
 
-  double meas_norm2 = 0.0;
-  for (std::size_t t = 0; t < measured.cols(); ++t) {
-    const double nn = nrm2(measured.col(t));
-    meas_norm2 += nn * nn;
-  }
-
-  RankCtx ctx;
-  ctx.comm = &comm;
-  ctx.pm = &pm;
-  ctx.trx = &trx;
-  ctx.measured = &measured;
-  ctx.fw_opts = config.forward;
-  ctx.group = wrank / tr;
-  ctx.tree_rank = wrank % tr;
-  ctx.rank_base = config.rank_base + ctx.group * tr;
-  for (int r = 0; r < tr; ++r) ctx.tree_group.push_back(ctx.rank_base + r);
-  for (int g = 0; g < ig; ++g)
-    ctx.column_group.push_back(config.rank_base + g * tr + ctx.tree_rank);
   // Window ranks, NOT the whole cluster: every collective below runs on
   // group primitives over explicit rank lists, never on the global
   // barrier/allreduce (which would deadlock against the other band
@@ -638,116 +657,25 @@ DbimResult dbim_reconstruct_windowed(Comm& comm, const PartitionedMlfma& pm,
   std::vector<int> window_ranks;
   for (int r = 0; r < window; ++r)
     window_ranks.push_back(config.rank_base + r);
-
-  ctx.nloc = pm.local_pixels(ctx.tree_rank);
-  const std::size_t npl = static_cast<std::size_t>(tree.pixels_per_leaf());
-  const std::size_t q0 = pm.leaf_begin(ctx.tree_rank) * npl;
-  ctx.nat_idx.resize(ctx.nloc);
-  for (std::size_t q = 0; q < ctx.nloc; ++q)
-    ctx.nat_idx[q] = tree.perm()[q0 + q];
-
-  for (int t = ctx.group; t < t_count; t += ig) ctx.local_t.push_back(t);
-  ctx.o_loc.assign(ctx.nloc, cplx{});
+  RankCtx ctx(comm, pm, tree, trx, measured, config.dbim, config.forward, ig,
+              config.rank_base);
+  ctx.grid_sum = [&comm, &window_ranks](double v) {
+    return comm.group_allreduce_sum(v, window_ranks);
+  };
   if (!initial_contrast.empty()) {
     FFW_CHECK(initial_contrast.size() == npix);
     for (std::size_t q = 0; q < ctx.nloc; ++q)
       ctx.o_loc[q] = initial_contrast[ctx.nat_idx[q]];
   }
-  ctx.lo = BlockLayout{npl, ctx.local_t.size(), ctx.nloc / npl};
-  ctx.phi_b.assign(ctx.lo.size(), cplx{});
-  ctx.reset_phi_to_incident();
-  if (config.dbim.recycle_depth > 0) {
-    const RecycleOptions ro{
-        static_cast<std::size_t>(config.dbim.recycle_depth),
-        config.dbim.recycle_ridge};
-    ctx.rec_grad = KrylovRecycler(ro);
-    ctx.rec_step = KrylovRecycler(ro);
-  }
 
-  cvec grad(ctx.nloc), grad_prev(ctx.nloc), direction(ctx.nloc),
-      residuals(measured.rows() * ctx.local_t.size());
   std::vector<double> history;
-  double grad_prev_norm2 = 0.0;
-  double prev_relres = -1.0;
-  DotReducer red = ctx.tree_reduce();
-
   for (int iter = 0; iter < config.dbim.max_iterations; ++iter) {
-    if (config.dbim.near_precondition) ctx.refactor_precond();
-    if (config.dbim.adaptive_forcing) {
-      const double base = config.forward.tol;
-      const double cap = std::max(base, config.dbim.forcing_cap);
-      ctx.forcing_tol =
-          prev_relres >= 0.0
-              ? std::clamp(config.dbim.forcing_c * prev_relres, base, cap)
-              : cap;
-    }
-    std::fill(grad.begin(), grad.end(), cplx{});
-    double cost_loc = 0.0;
-    if (!ctx.local_t.empty()) {
-      if (!config.dbim.warm_start_fields) {
-        ctx.reset_phi_to_incident();
-        ctx.rec_grad.clear();
-        ctx.rec_step.clear();
-      }
-      cost_loc = ctx.residual_pass_all(residuals);
-      ctx.gradient_pass_all(residuals, grad);
-    }
-    // Cost: each illumination's cost is replicated tr times; reduced
-    // over the window ranks only.
-    double buf[1] = {cost_loc};
-    comm.group_allreduce_sum(rspan{buf, 1}, window_ranks);
-    const double cost = buf[0] / tr;
-    comm.group_allreduce_sum(cspan{grad}, ctx.column_group);
-    if (config.dbim.tikhonov > 0.0) {
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        grad[q] += config.dbim.tikhonov * ctx.o_loc[q];
-    }
-
-    const double relres = std::sqrt(cost / meas_norm2);
-    prev_relres = relres;
-    history.push_back(relres);
-    if (config.dbim.progress && wrank == 0) config.dbim.progress(iter, relres);
-    if (config.dbim.residual_tol > 0.0 && relres < config.dbim.residual_tol)
-      break;
-
-    double gn_loc = 0.0;
-    for (const auto& v : grad) gn_loc += std::norm(v);
-    const double gnorm2 = red.sum_double(gn_loc);
-    if (gnorm2 == 0.0) break;
-    double beta = 0.0;
-    if (config.dbim.conjugate_gradient && iter > 0 && grad_prev_norm2 > 0.0) {
-      cplx num_loc{};
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        num_loc += std::conj(grad[q]) * (grad[q] - grad_prev[q]);
-      beta = std::max(0.0, red.sum_cplx(num_loc).real() / grad_prev_norm2);
-    }
-    if (beta == 0.0) {
-      for (std::size_t q = 0; q < ctx.nloc; ++q) direction[q] = -grad[q];
-    } else {
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        direction[q] = -grad[q] + beta * direction[q];
-    }
-
-    double denom_loc = ctx.local_t.empty() ? 0.0 : ctx.step_pass_all(direction);
-    double dbuf[1] = {denom_loc};
-    comm.group_allreduce_sum(rspan{dbuf, 1}, window_ranks);
-    double denom = dbuf[0] / tr;
-    if (config.dbim.tikhonov > 0.0) {
-      double dn_loc = 0.0;
-      for (std::size_t q = 0; q < ctx.nloc; ++q)
-        dn_loc += std::norm(direction[q]);
-      denom += config.dbim.tikhonov * red.sum_double(dn_loc);
-    }
-    if (denom == 0.0) break;
-    cplx num_loc{};
-    for (std::size_t q = 0; q < ctx.nloc; ++q)
-      num_loc += std::conj(grad[q]) * direction[q];
-    const double alpha = -red.sum_cplx(num_loc).real() / denom;
-    for (std::size_t q = 0; q < ctx.nloc; ++q)
-      ctx.o_loc[q] += alpha * direction[q];
-
-    copy(grad, grad_prev);
-    grad_prev_norm2 = gnorm2;
+    const bool updated = ctx.iterate(iter, [&](double relres) {
+      history.push_back(relres);
+      if (config.dbim.progress && wrank == 0)
+        config.dbim.progress(iter, relres);
+    });
+    if (!updated) break;
 
     // Per-band plateau stop, after the update so the serial stepper
     // (update inside step(), plateau checked by the caller between

@@ -62,7 +62,16 @@ void Transceivers::apply_gr_subset(ccspan x_sub,
                                    std::span<const std::uint32_t> pixels,
                                    cspan y_accum) const {
   FFW_CHECK(x_sub.size() == pixels.size() && y_accum.size() == rx_.size());
-  for (std::size_t r = 0; r < rx_.size(); ++r) {
+  const std::size_t m = rx_.size();
+  if (gr_) {
+    for (std::size_t i = 0; i < pixels.size(); ++i) {
+      const cplx xi = x_sub[i];
+      const cplx* col = gr_->col(pixels[i]).data();
+      for (std::size_t r = 0; r < m; ++r) y_accum[r] += col[r] * xi;
+    }
+    return;
+  }
+  for (std::size_t r = 0; r < m; ++r) {
     cplx acc{};
     for (std::size_t i = 0; i < pixels.size(); ++i)
       acc += gr_entry(static_cast<int>(r), pixels[i]) * x_sub[i];
@@ -74,10 +83,16 @@ void Transceivers::apply_gr_herm_subset(ccspan u,
                                         std::span<const std::uint32_t> pixels,
                                         cspan y_sub) const {
   FFW_CHECK(u.size() == rx_.size() && y_sub.size() == pixels.size());
+  const std::size_t m = rx_.size();
   for (std::size_t i = 0; i < pixels.size(); ++i) {
     cplx acc{};
-    for (std::size_t r = 0; r < rx_.size(); ++r)
-      acc += std::conj(gr_entry(static_cast<int>(r), pixels[i])) * u[r];
+    if (gr_) {
+      const cplx* col = gr_->col(pixels[i]).data();
+      for (std::size_t r = 0; r < m; ++r) acc += std::conj(col[r]) * u[r];
+    } else {
+      for (std::size_t r = 0; r < m; ++r)
+        acc += std::conj(gr_entry(static_cast<int>(r), pixels[i])) * u[r];
+    }
     y_sub[i] = acc;
   }
 }

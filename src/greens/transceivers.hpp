@@ -54,17 +54,25 @@ class Transceivers {
   bool gr_materialized() const { return gr_.has_value(); }
 
   /// Partial G_R products over a pixel subset (used by the distributed
-  /// DBIM driver, where each tree rank owns a slice of the image):
-  /// y += sum_i G_R[:, pixels[i]] * x_sub[i]. Caller zero-fills and
-  /// allreduces y over the tree group.
+  /// DBIM drivers, where each tree rank owns a slice of the image):
+  /// y += sum_i G_R[:, pixels[i]] * x_sub[i]. The parallel drivers call
+  /// it once per local illumination column on every G_R projection (two
+  /// per DBIM iteration), zero-fill y first and combine the columns of
+  /// all illuminations with one batched allreduce over the tree group.
+  /// Like apply_gr, it reads the materialised G_R columns when
+  /// gr_materialized() holds and evaluates entries per call otherwise.
   void apply_gr_subset(ccspan x_sub, std::span<const std::uint32_t> pixels,
                        cspan y_accum) const;
 
-  /// y_sub[i] = (G_R^H u)[pixels[i]].
+  /// y_sub[i] = (G_R^H u)[pixels[i]] — the gradient pass's back
+  /// projection, one call per local illumination; no communication
+  /// (each rank writes only its own pixels). Same materialised /
+  /// matrix-free split as apply_gr_subset.
   void apply_gr_herm_subset(ccspan u, std::span<const std::uint32_t> pixels,
                             cspan y_sub) const;
 
-  /// Incident field of transmitter t restricted to a pixel subset.
+  /// Incident field of transmitter t restricted to a pixel subset;
+  /// bit-identical to incident_field(t) at those pixels.
   void incident_field_subset(int t, std::span<const std::uint32_t> pixels,
                              cspan out) const;
 

@@ -382,6 +382,43 @@ TEST(BandParallel, TwoDimensionalWindowsReconstruct) {
   EXPECT_LT(image_rmse(par.permittivity, serial.permittivity), 1e-3);
 }
 
+TEST(BandParallel, TableCacheWindowsMatchUncachedBitForBit) {
+  // 2 band groups x (2 illum x 1 tree rank): the windowed driver runs
+  // every band. With a table cache the windows read the cached incident
+  // panel instead of evaluating the incident fields per pixel; the
+  // values are the same, and with one tree rank (no halo exchange) so
+  // are the bits.
+  ScenarioConfig cfg;
+  cfg.nx = 32;
+  cfg.num_transmitters = 6;
+  cfg.num_receivers = 20;
+  cfg.leaf_pixel_side = 4;
+  Grid grid(cfg.nx);
+  const cvec truth =
+      gaussian_blob(grid, Vec2{0.2, -0.1}, 0.5, cplx{0.01, 0.0});
+  FrequencyLadder ladder;
+  ladder.bands.push_back({1, 3});
+  ladder.bands.push_back({0, 3});
+  BandParallelOptions opts;
+  opts.freq_groups = 2;
+  opts.tree_ranks = 1;
+
+  VCluster vc(4);
+  const ContinuationResult plain =
+      continuation_reconstruct_parallel(vc, cfg, truth, ladder, opts);
+  OperatorTableCache cache;
+  cfg.table_cache = &cache;
+  VCluster vc_cached(4);
+  const ContinuationResult cached =
+      continuation_reconstruct_parallel(vc_cached, cfg, truth, ladder, opts);
+  EXPECT_GT(cache.stats().misses, 0u);
+  ASSERT_EQ(cached.stages.size(), plain.stages.size());
+  for (std::size_t s = 0; s < plain.stages.size(); ++s) {
+    EXPECT_EQ(cached.stages[s].iterations, plain.stages[s].iterations);
+  }
+  EXPECT_TRUE(cached.permittivity == plain.permittivity);
+}
+
 TEST(BandParallel, ResumeSkipsCompletedBands) {
   const char* path = "/tmp/ffw_freq_par_resume.ckpt";
   std::remove(path);

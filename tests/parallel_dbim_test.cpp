@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "dbim/parallel_driver.hpp"
+#include "obs/obs.hpp"
 #include "phantom/setup.hpp"
 #include "vcluster/fault.hpp"
 
@@ -174,6 +175,145 @@ TEST(ParallelDbim, HistoryCountsOnlyTheIterationsRun) {
   EXPECT_EQ(windowed.forward_solves, 3 * kT * ran);
   EXPECT_GT(windowed.operator_applications, windowed.forward_solves);
   EXPECT_GT(windowed.bicgstab_iterations, 0u);
+}
+
+// The ranks project through G_R slices: read from the materialised
+// matrix when it fits the budget, evaluated per entry otherwise. Both
+// paths must give the same reconstruction.
+TEST(ParallelDbim, MatrixFreeReceiversMatchMaterialized) {
+  SceneFixture f;
+  const Transceivers& dense = f.scene->transceivers();
+  const Transceivers lazy(f.scene->tree().grid(), dense.transmitters(),
+                          dense.receivers(), /*budget=*/0);
+  ASSERT_TRUE(dense.gr_materialized());
+  ASSERT_FALSE(lazy.gr_materialized());
+
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim.max_iterations = 4;
+  pcfg.dbim.near_precondition = true;
+  const auto run = [&](const Transceivers& trx) {
+    VCluster vc(4);
+    return dbim_reconstruct_parallel(vc, f.scene->tree(), trx,
+                                     f.scene->measurements(), pcfg);
+  };
+  const DbimResult a = run(dense);
+  const DbimResult b = run(lazy);
+  ASSERT_EQ(a.history.relative_residual.size(), 4u);
+  ASSERT_EQ(b.history.relative_residual.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NEAR(b.history.relative_residual[i], a.history.relative_residual[i],
+                1e-10)
+        << "iteration " << i;
+  }
+  EXPECT_LE(image_rmse(b.contrast, a.contrast), 1e-10);
+}
+
+// The incident panel (DbimOptions::incident_panel) replaces per-pixel
+// Hankel evaluations with reads of the same values, so a run fed the
+// panel is the run without it, bit for bit, in both parallel drivers.
+// With one tree rank there is no halo exchange, so reruns are
+// bit-identical and the comparison is exact.
+TEST(ParallelDbim, IncidentPanelRunIsBitIdentical) {
+  SceneFixture f;
+  const Transceivers& trx = f.scene->transceivers();
+  const std::size_t n = f.scene->tree().grid().num_pixels();
+  const int t_count = trx.num_transmitters();
+  cvec panel(n * static_cast<std::size_t>(t_count));
+  for (int t = 0; t < t_count; ++t) {
+    const cvec col = trx.incident_field(t);
+    std::copy(col.begin(), col.end(),
+              panel.begin() + static_cast<std::ptrdiff_t>(t * n));
+  }
+  const auto same_bits = [](const DbimResult& x, const DbimResult& y) {
+    return x.contrast == y.contrast &&
+           x.history.relative_residual == y.history.relative_residual;
+  };
+
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 1;
+  pcfg.dbim.max_iterations = 4;
+  const auto run = [&](const ParallelDbimConfig& c) {
+    VCluster vc(2);
+    return dbim_reconstruct_parallel(vc, f.scene->tree(), trx,
+                                     f.scene->measurements(), c);
+  };
+  const DbimResult plain = run(pcfg);
+  EXPECT_TRUE(same_bits(run(pcfg), plain)) << "rerun differs";
+  pcfg.dbim.incident_panel = panel;
+  EXPECT_TRUE(same_bits(run(pcfg), plain)) << "panel run differs";
+
+  WindowedDbimConfig wcfg;
+  wcfg.illum_groups = 2;
+  wcfg.tree_ranks = 1;
+  wcfg.dbim.max_iterations = 4;
+  const PartitionedMlfma pm(f.scene->tree(), MlfmaParams{}, 1);
+  const auto run_windowed = [&](const WindowedDbimConfig& c) {
+    DbimResult out;
+    VCluster vc(2);
+    vc.run([&](Comm& comm) {
+      DbimResult res = dbim_reconstruct_windowed(
+          comm, pm, f.scene->tree(), trx, f.scene->measurements(), c);
+      if (comm.rank() == 0) out = std::move(res);
+    });
+    return out;
+  };
+  const DbimResult wplain = run_windowed(wcfg);
+  wcfg.dbim.incident_panel = panel;
+  EXPECT_TRUE(same_bits(run_windowed(wcfg), wplain)) << "windowed panel run";
+}
+
+// Both parallel drivers record the serial stepper's per-pass spans on
+// every rank: one dbim.iteration, dbim.residual_pass, dbim.gradient_pass
+// and dbim.step_pass per iteration.
+TEST(ParallelDbim, DriversRecordPerPassSpans) {
+  SceneFixture f;
+  constexpr std::uint64_t kIters = 3;
+  const auto span_count = [](int rank, const char* name) {
+    for (const obs::PhaseTotal& p : obs::phase_totals(rank))
+      if (p.name == name) return p.count;
+    return std::uint64_t{0};
+  };
+  const auto expect_spans = [&](const char* driver) {
+    for (int r = 0; r < 4; ++r) {
+      for (const char* name : {"dbim.iteration", "dbim.residual_pass",
+                               "dbim.gradient_pass", "dbim.step_pass"}) {
+        EXPECT_EQ(span_count(r, name), kIters)
+            << driver << " rank " << r << " " << name;
+      }
+    }
+  };
+
+  obs::reset();
+  obs::set_enabled(true);
+  ParallelDbimConfig pcfg;
+  pcfg.illum_groups = 2;
+  pcfg.tree_ranks = 2;
+  pcfg.dbim.max_iterations = static_cast<int>(kIters);
+  VCluster vc(4);
+  dbim_reconstruct_parallel(vc, f.scene->tree(), f.scene->transceivers(),
+                            f.scene->measurements(), pcfg);
+  obs::set_enabled(false);
+  expect_spans("parallel");
+
+  obs::reset();
+  obs::set_enabled(true);
+  WindowedDbimConfig wcfg;
+  wcfg.illum_groups = 2;
+  wcfg.tree_ranks = 2;
+  wcfg.dbim.max_iterations = static_cast<int>(kIters);
+  const PartitionedMlfma pm(f.scene->tree(), MlfmaParams{}, 2);
+  VCluster wvc(4);
+  wvc.run([&](Comm& comm) {
+    dbim_reconstruct_windowed(comm, pm, f.scene->tree(),
+                              f.scene->transceivers(),
+                              f.scene->measurements(), wcfg);
+  });
+  obs::set_enabled(false);
+  expect_spans("windowed");
+  obs::reset();
 }
 
 TEST(ParallelDbim, SurvivesInjectedCrashesViaCheckpointRestart) {

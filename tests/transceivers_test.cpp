@@ -1,10 +1,14 @@
 // Transmitter/receiver operator tests: geometry, dense-vs-matrix-free
-// G_R paths, adjoint identity, incident fields.
+// G_R paths (full image and pixel subsets), adjoint identity, incident
+// fields.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "common/rng.hpp"
 #include "greens/greens.hpp"
 #include "greens/transceivers.hpp"
+#include "grid/quadtree.hpp"
 #include "linalg/kernels.hpp"
 
 namespace ffw {
@@ -53,6 +57,64 @@ TEST(Transceivers, DenseAndMatrixFreePathsAgree) {
   dense.apply_gr_herm(u, g1);
   lazy.apply_gr_herm(u, g2);
   EXPECT_LT(rel_l2_diff(g1, g2), 1e-13);
+}
+
+// The distributed DBIM drivers project through the pixel subset a tree
+// rank owns (a slice of the Morton order). The materialised G_R and the
+// matrix-free path must give the same subset projections, the subset
+// calls over every pixel must be the full-image operators, and the
+// incident subset must be the full incident field bit for bit.
+TEST(Transceivers, SubsetProjectionsMatchMatrixFree) {
+  Grid grid(32);
+  const auto tx = ring_positions(4, grid.domain());
+  const auto rx = ring_positions(16, grid.domain());
+  Transceivers dense(grid, tx, rx);
+  Transceivers lazy(grid, tx, rx, /*budget=*/0);
+  ASSERT_TRUE(dense.gr_materialized());
+  ASSERT_FALSE(lazy.gr_materialized());
+
+  // Tree rank 1 of 4: the second quarter of the cluster order.
+  const QuadTree tree(grid);
+  const std::size_t n = grid.num_pixels();
+  const std::span<const std::uint32_t> slice{tree.perm().data() + n / 4,
+                                             n / 4};
+  Rng rng(54);
+  cvec x(slice.size()), u(16);
+  rng.fill_cnormal(x);
+  rng.fill_cnormal(u);
+  cvec y1(16, cplx{}), y2(16, cplx{});
+  dense.apply_gr_subset(x, slice, y1);
+  lazy.apply_gr_subset(x, slice, y2);
+  EXPECT_LE(rel_l2_diff(y1, y2), 1e-13);
+  cvec g1(slice.size()), g2(slice.size());
+  dense.apply_gr_herm_subset(u, slice, g1);
+  lazy.apply_gr_herm_subset(u, slice, g2);
+  EXPECT_LE(rel_l2_diff(g1, g2), 1e-13);
+
+  std::vector<std::uint32_t> all(n);
+  std::iota(all.begin(), all.end(), std::uint32_t{0});
+  cvec xa(n);
+  rng.fill_cnormal(xa);
+  for (const Transceivers* trx : {&dense, &lazy}) {
+    cvec want(16), got(16, cplx{});
+    trx->apply_gr(xa, want);
+    trx->apply_gr_subset(xa, all, got);
+    EXPECT_LE(rel_l2_diff(got, want), 1e-12);
+    cvec hwant(n), hgot(n);
+    trx->apply_gr_herm(u, hwant);
+    trx->apply_gr_herm_subset(u, all, hgot);
+    EXPECT_LE(rel_l2_diff(hgot, hwant), 1e-12);
+  }
+
+  for (int t = 0; t < 4; ++t) {
+    const cvec full = dense.incident_field(t);
+    cvec sub(slice.size());
+    dense.incident_field_subset(t, slice, sub);
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < slice.size(); ++i)
+      differ += sub[i] != full[slice[i]];
+    EXPECT_EQ(differ, 0u) << "transmitter " << t;
+  }
 }
 
 TEST(Transceivers, GrAdjointIdentity) {
