@@ -104,6 +104,65 @@ static void BM_NearFieldPass(benchmark::State& state) {
 }
 BENCHMARK(BM_NearFieldPass);
 
+// The three MLFMA GEMM phases at their production shapes on the 64x64,
+// leaf-8 tree (np = 64 pixels per leaf, q0 = 74 level-0 samples, 64
+// leaves, nrhs = 16), split across threads the way MlfmaEngine splits
+// them, in fp64:
+//   near       Y_leaf (64x16) += N (64x64) * X_src (64x16) per leaf;
+//   expansion  S (74 x 64*16) = E (74x64) * X (64 x 64*16);
+//   local      Y (64 x 64*16) += R (64x74) * G (74 x 64*16).
+// Phase 0/1/2 = near/expansion/local. "Mcmac/s" counts m*n*k complex
+// multiply-accumulates per product.
+static void BM_GemmPhaseShape(benchmark::State& state) {
+  const int phase = static_cast<int>(state.range(0));
+  set_num_threads(static_cast<int>(state.range(1)));
+  const std::size_t np = 64, q0 = 74, nleaf = 64, nrhs = 16;
+  const std::size_t m = phase == 1 ? q0 : np, k = phase == 2 ? q0 : np;
+  Rng rng(11);
+  cvec a(m * k), x(k * nleaf * nrhs), y(m * nleaf * nrhs);
+  rng.fill_cnormal(a);
+  rng.fill_cnormal(x);
+  rng.fill_cnormal(y);
+  const cplx beta = phase == 1 ? cplx{} : cplx{1.0};
+  for (auto _ : state) {
+    if (phase == 0) {
+      parallel_for_dynamic(0, nleaf, [&](std::size_t c) {
+        gemm_raw(m, nrhs, k, cplx{1.0}, a.data(), m,
+                 x.data() + c * k * nrhs, k, beta,
+                 y.data() + c * m * nrhs, m);
+      });
+    } else {
+      const std::size_t nthreads =
+          std::min<std::size_t>(static_cast<std::size_t>(num_threads()), nleaf);
+      const std::size_t chunk = (nleaf + nthreads - 1) / nthreads;
+      parallel_for(0, nthreads, [&](std::size_t tid) {
+        const std::size_t c0 = tid * chunk;
+        const std::size_t c1 = std::min(nleaf, c0 + chunk);
+        if (c0 >= c1) return;
+        gemm_raw(m, (c1 - c0) * nrhs, k, cplx{1.0}, a.data(), m,
+                 x.data() + c0 * k * nrhs, k, beta,
+                 y.data() + c0 * m * nrhs, m);
+      });
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  set_num_threads(0);
+  state.SetLabel(phase == 0 ? "near" : phase == 1 ? "expansion" : "local");
+  state.counters["Mcmac/s"] = benchmark::Counter(
+      1e-6 * static_cast<double>(m * k * nleaf * nrhs),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmPhaseShape)
+    ->Apply([](auto* b) {
+      b->ArgNames({"phase", "threads"});
+      for (const std::int64_t phase : {0, 1, 2})
+        for (const std::int64_t t : {1, hardware_threads()})
+          b->Args({phase, t});
+    })
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 // The 1-D FFT through the shared plan cache (what fft()/ifft() do now)
 // against a fresh plan per call (what they used to do: twiddle tables or
 // the Bluestein chirp recomputed every time). Arg 96 exercises the

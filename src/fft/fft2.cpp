@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/simd.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -33,88 +34,12 @@ std::complex<T> unit_phase(double ang) {
   return {static_cast<T>(std::cos(ang)), static_cast<T>(std::sin(ang))};
 }
 
-// Hand-vectorized butterflies via GCC/Clang vector extensions. The
-// interleaved re/im layout defeats the autovectorizer's cost model (it
-// settles for 16-byte vectors plus scalar shuffles); spelling out the
-// full-width lanes and the re/im swizzle roughly doubles the butterfly
-// throughput. 64-byte lanes on AVX-512 hardware, 32-byte otherwise (on
-// non-x86 the compiler lowers the fixed-width vectors to whatever the
-// target offers). Scalar tails keep every width correct; the
-// aligned(sizeof(T)) attribute makes each access legal at
-// complex-element alignment. The only runtime shuffle is the in-lane
-// re/im swap -- twiddles come pre-expanded from the plan tables.
-#if defined(__GNUC__) || defined(__clang__)
-#define FFW_FFT_SIMD 1
-#if defined(__AVX512F__)
-#define FFW_FFT_VEC_BYTES 64
-#else
-#define FFW_FFT_VEC_BYTES 32
-#endif
-
-template <typename T>
-struct Simd;
-
-template <>
-struct Simd<double> {
-  typedef double V __attribute__((vector_size(FFW_FFT_VEC_BYTES), aligned(8)));
-  typedef long long M __attribute__((vector_size(FFW_FFT_VEC_BYTES)));
-  static constexpr std::size_t kScalars = FFW_FFT_VEC_BYTES / sizeof(double);
-  static V load(const double* p) { return *reinterpret_cast<const V*>(p); }
-  static void store(double* p, V v) { *reinterpret_cast<V*>(p) = v; }
-  // [re0, im0, re1, im1, ...] -> [im0, re0, im1, re1, ...]
-  static V swap_pairs(V v) {
-#if defined(__clang__) && FFW_FFT_VEC_BYTES == 64
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
-#elif defined(__clang__)
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2);
-#elif FFW_FFT_VEC_BYTES == 64
-    return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6});
-#else
-    return __builtin_shuffle(v, M{1, 0, 3, 2});
-#endif
-  }
-  static V broadcast(double a) { return a - V{}; }
-  static V alt(double a) {
-    V v{};
-    for (std::size_t i = 0; i < kScalars; i += 2) {
-      v[i] = -a;
-      v[i + 1] = a;
-    }
-    return v;
-  }
-};
-
-template <>
-struct Simd<float> {
-  typedef float V __attribute__((vector_size(FFW_FFT_VEC_BYTES), aligned(4)));
-  typedef int M __attribute__((vector_size(FFW_FFT_VEC_BYTES)));
-  static constexpr std::size_t kScalars = FFW_FFT_VEC_BYTES / sizeof(float);
-  static V load(const float* p) { return *reinterpret_cast<const V*>(p); }
-  static void store(float* p, V v) { *reinterpret_cast<V*>(p) = v; }
-  static V swap_pairs(V v) {
-#if defined(__clang__) && FFW_FFT_VEC_BYTES == 64
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10,
-                                   13, 12, 15, 14);
-#elif defined(__clang__)
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
-#elif FFW_FFT_VEC_BYTES == 64
-    return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12,
-                                  15, 14});
-#else
-    return __builtin_shuffle(v, M{1, 0, 3, 2, 5, 4, 7, 6});
-#endif
-  }
-  static V broadcast(float a) { return a - V{}; }
-  static V alt(float a) {
-    V v{};
-    for (std::size_t i = 0; i < kScalars; i += 2) {
-      v[i] = -a;
-      v[i + 1] = a;
-    }
-    return v;
-  }
-};
-#endif  // FFW_FFT_SIMD
+// Hand-vectorized butterflies over the shared Simd<T> lanes
+// (common/simd.hpp). The interleaved re/im layout defeats the
+// autovectorizer's cost model (it settles for 16-byte vectors plus scalar
+// shuffles); spelling out the full-width lanes and the re/im swizzle
+// roughly doubles the butterfly throughput. Scalar tails keep every width
+// correct; twiddles come pre-expanded from the plan tables.
 
 /// (a, b) <- (a + w b, a - w b) over len2 interleaved scalars with one
 /// constant twiddle w = wr + i wi: the column-pass butterfly, where a
@@ -122,7 +47,7 @@ struct Simd<float> {
 template <typename T>
 inline void line_butterfly(T* a, T* b, T wr, T wi, std::size_t len2) {
   std::size_t c = 0;
-#if FFW_FFT_SIMD
+#if FFW_SIMD
   using S = Simd<T>;
   const typename S::V vwr = S::broadcast(wr);
   const typename S::V vwi = S::alt(wi);
@@ -156,7 +81,7 @@ inline void line_butterfly4(T* a, T* b, T* c, T* d, std::complex<T> w1,
                             std::complex<T> w2a, std::complex<T> w2b,
                             std::size_t len2) {
   std::size_t k = 0;
-#if FFW_FFT_SIMD
+#if FFW_SIMD
   using S = Simd<T>;
   const typename S::V w1r = S::broadcast(w1.real()), w1i = S::alt(w1.imag());
   const typename S::V w2ar = S::broadcast(w2a.real()),
@@ -213,7 +138,7 @@ template <typename T>
 inline void radix2_stage(T* lo, T* hi, const T* twa, const T* twb,
                          std::size_t half) {
   std::size_t j = 0;
-#if FFW_FFT_SIMD
+#if FFW_SIMD
   using S = Simd<T>;
   constexpr std::size_t kC = S::kScalars / 2;  // complex values per lane
   for (; j + kC <= half; j += kC) {

@@ -1,63 +1,84 @@
 #include "linalg/gemm.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 #include <vector>
+
+#include "common/simd.hpp"
+
+#ifndef FFW_SIMD
+#error "the GEMM micro-kernel needs the vector extensions of common/simd.hpp"
+#endif
 
 namespace ffw {
 
 namespace {
-// Register-tile sizes for the micro-kernel: 4 rows x 2 columns of C held
-// in scalars while streaming a column of A. Complex FMA keeps ~8 live
-// registers, comfortably within x86-64's budget.
-constexpr std::size_t kMr = 4;
-constexpr std::size_t kNr = 2;
-constexpr std::size_t kKc = 128;  // k blocking (A panel stays in L1/L2)
-constexpr std::size_t kMb = 256;  // row blocking of the wide-n path (the
-                                  // 4-column C tile stays in L1)
+// Register-blocked micro-kernel. One call keeps a tile of C — MV vectors
+// of Simd<TD> lanes down (16 complex rows of fp64 on AVX-512) by NC <= 4
+// columns — in registers across the whole k loop, so C is read and
+// written once per tile instead of once per k step, and no k blocking is
+// needed. Per k step it loads the tile's A vectors once, swaps their
+// re/im lanes once, and shares both across the NC columns. The rounding
+// of every element is pinned, independent of tile shape and of n
+// (DESIGN.md Sec. 8): for p = 0, 1, ..., k-1 in order,
+//   c += (fma(br, ar, -(bi*ai)), fma(br, ai, bi*ar)),
+// with (br, bi) = alpha * B(p, j) and A widened to TD. Without FMA
+// hardware both products round before the add/subtract.
+constexpr std::size_t kNc = 4;   // widest column tile
+constexpr std::size_t kNb = 16;  // columns per packed B panel
 
-// Wide-n micro-kernel: C(:, 0..3) += A * (alpha * B(:, 0..3)) as k
-// rank-1 updates. Each A column is streamed ONCE for four C columns and
-// the row loop runs on the interleaved re/im components, which the
-// vectoriser turns into plain mul/add lanes — something the scalar
-// std::complex dot-product tiles above n=1..3 cannot express. A streams
-// as TS (fp32 loads convert in-register on the mixed path) and C
-// accumulates as TD, so narrowing never happens inside the update.
-template <typename TS, typename TD>
-inline void wide_tile4(std::size_t m, std::size_t k, std::complex<TD> alpha,
-                       const std::complex<TS>* a, std::size_t lda,
-                       const std::complex<TS>* b, std::size_t ldb,
-                       std::complex<TD>* c, std::size_t ldc) {
-  const std::size_t m2 = 2 * m;
-  TD* c0 = reinterpret_cast<TD*>(c + 0 * ldc);
-  TD* c1 = reinterpret_cast<TD*>(c + 1 * ldc);
-  TD* c2 = reinterpret_cast<TD*>(c + 2 * ldc);
-  TD* c3 = reinterpret_cast<TD*>(c + 3 * ldc);
-  for (std::size_t p = 0; p < k; ++p) {
-    const TS* ap = reinterpret_cast<const TS*>(a + p * lda);
-    const std::complex<TD> b0 = alpha * std::complex<TD>(b[0 * ldb + p]);
-    const std::complex<TD> b1 = alpha * std::complex<TD>(b[1 * ldb + p]);
-    const std::complex<TD> b2 = alpha * std::complex<TD>(b[2 * ldb + p]);
-    const std::complex<TD> b3 = alpha * std::complex<TD>(b[3 * ldb + p]);
-    const TD b0r = b0.real(), b0i = b0.imag();
-    const TD b1r = b1.real(), b1i = b1.imag();
-    const TD b2r = b2.real(), b2i = b2.imag();
-    const TD b3r = b3.real(), b3i = b3.imag();
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-    for (std::size_t i = 0; i < m2; i += 2) {
-      const TD ar = static_cast<TD>(ap[i]), ai = static_cast<TD>(ap[i + 1]);
-      c0[i] += b0r * ar - b0i * ai;
-      c0[i + 1] += b0r * ai + b0i * ar;
-      c1[i] += b1r * ar - b1i * ai;
-      c1[i + 1] += b1r * ai + b1i * ar;
-      c2[i] += b2r * ar - b2i * ai;
-      c2[i + 1] += b2r * ai + b2i * ar;
-      c3[i] += b3r * ar - b3i * ai;
-      c3[i + 1] += b3r * ai + b3i * ar;
+// Vectors per tile column: 4 x 4 accumulators fill half of AVX-512's 32
+// registers; 32-byte targets (16 registers) take 2 x 4.
+constexpr std::size_t kMv = FFW_SIMD_VEC_BYTES == 64 ? 4 : 2;
+
+// C(0..MV*kScalars/2, 0..NC) += A * B over k steps. a and c are scalar
+// pointers with leading dimensions lda / ldc in scalars; bp holds the
+// alpha-scaled B row by row, bp[2*NC*p + 2*j + {0, 1}] = (re, im).
+template <typename TS, typename TD, std::size_t MV, std::size_t NC>
+void tile(std::size_t k, const TS* a, std::size_t lda, const TD* bp, TD* c,
+          std::size_t ldc) {
+  using S = Simd<TD>;
+  using V = typename S::V;
+  constexpr std::size_t W = S::kScalars;
+  V acc[NC][MV];
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < NC; ++j)
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < MV; ++v) acc[j][v] = S::load(c + j * ldc + v * W);
+  for (std::size_t p = 0; p < k; ++p, a += lda, bp += 2 * NC) {
+    V av[MV], sw[MV];
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < MV; ++v) {
+      av[v] = S::load(a + v * W);
+      sw[v] = S::swap_pairs(av[v]);
+    }
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < NC; ++j) {
+      const V br = S::broadcast(bp[2 * j]), bi = S::broadcast(bp[2 * j + 1]);
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < MV; ++v)
+        acc[j][v] += S::fmaddsub(br, av[v], bi * sw[v]);
     }
   }
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < NC; ++j)
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < MV; ++v) S::store(c + j * ldc + v * W, acc[j][v]);
 }
+
+// tile<TS, TD, MV, NC> for every MV in 1..kMv and NC in 1..kNc, indexed
+// [(MV - 1) * kNc + NC - 1].
+template <typename TS, typename TD>
+using TileFn = void (*)(std::size_t, const TS*, std::size_t, const TD*, TD*,
+                        std::size_t);
+template <typename TS, typename TD, std::size_t... I>
+constexpr std::array<TileFn<TS, TD>, sizeof...(I)> make_tiles(
+    std::index_sequence<I...>) {
+  return {&tile<TS, TD, I / kNc + 1, I % kNc + 1>...};
+}
+template <typename TS, typename TD>
+constexpr auto kTiles = make_tiles<TS, TD>(std::make_index_sequence<kMv * kNc>{});
 }  // namespace
 
 template <typename TS, typename TD>
@@ -76,67 +97,57 @@ void gemm_raw_t(std::size_t m, std::size_t n, std::size_t k,
   }
   if (alpha == CD{} || m == 0 || n == 0 || k == 0) return;
 
-  for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
-    const std::size_t kb = std::min(kKc, k - k0);
-    std::size_t jw = 0;
-    for (; jw + 4 <= n; jw += 4) {  // wide-n path, 4-column tiles
-      for (std::size_t i0 = 0; i0 < m; i0 += kMb) {
-        const std::size_t mb = std::min(kMb, m - i0);
-        wide_tile4(mb, kb, alpha, a + k0 * lda + i0, lda, b + jw * ldb + k0,
-                   ldb, c + jw * ldc + i0, ldc);
-      }
-    }
-    for (std::size_t j0 = jw; j0 + kNr <= n; j0 += kNr) {
-      std::size_t i0 = 0;
-      for (; i0 + kMr <= m; i0 += kMr) {
-        CD c00{}, c10{}, c20{}, c30{}, c01{}, c11{}, c21{}, c31{};
-        const std::complex<TS>* b0 = b + (j0 + 0) * ldb + k0;
-        const std::complex<TS>* b1 = b + (j0 + 1) * ldb + k0;
-        for (std::size_t p = 0; p < kb; ++p) {
-          const std::complex<TS>* ac = a + (k0 + p) * lda + i0;
-          const CD bp0{b0[p]}, bp1{b1[p]};
-          c00 += CD{ac[0]} * bp0;
-          c10 += CD{ac[1]} * bp0;
-          c20 += CD{ac[2]} * bp0;
-          c30 += CD{ac[3]} * bp0;
-          c01 += CD{ac[0]} * bp1;
-          c11 += CD{ac[1]} * bp1;
-          c21 += CD{ac[2]} * bp1;
-          c31 += CD{ac[3]} * bp1;
+  // Everything below counts scalars, not complex elements.
+  constexpr std::size_t W = Simd<TD>::kScalars;
+  constexpr std::size_t R = kMv * W;  // rows of a full tile
+  const TS* as = reinterpret_cast<const TS*>(a);
+  TD* cs = reinterpret_cast<TD*>(c);
+  const std::size_t full = 2 * m - 2 * m % R, rem = 2 * m - full;
+  const std::size_t mv = (rem + W - 1) / W, rpad = mv * W;
+  // The ragged bottom rows of A, zero-padded to whole vectors, packed
+  // once; their tile runs on it and on a padded copy of C.
+  static thread_local std::vector<TS> apad;
+  if (rem) {
+    apad.assign(k * rpad, TS(0));
+    for (std::size_t p = 0; p < k; ++p)
+      std::copy_n(as + 2 * p * lda + full, rem, apad.data() + p * rpad);
+  }
+  // alpha * B, one panel of up to kNb columns at a time, packed tile by
+  // tile with each tile's columns interleaved per k step.
+  static thread_local std::vector<TD> bpack;
+  if (bpack.size() < 2 * k * kNb) bpack.resize(2 * k * kNb);
+
+  for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
+    const std::size_t nb = std::min(kNb, n - j0);
+    for (std::size_t jt = 0; jt < nb; jt += kNc) {
+      const std::size_t nc = std::min(kNc, nb - jt);
+      TD* dst = bpack.data() + 2 * k * jt;
+      for (std::size_t p = 0; p < k; ++p)
+        for (std::size_t j = 0; j < nc; ++j) {
+          const CD bv = alpha * CD(b[(j0 + jt + j) * ldb + p]);
+          dst[2 * (nc * p + j)] = bv.real();
+          dst[2 * (nc * p + j) + 1] = bv.imag();
         }
-        CD* cc0 = c + (j0 + 0) * ldc + i0;
-        CD* cc1 = c + (j0 + 1) * ldc + i0;
-        cc0[0] += alpha * c00;
-        cc0[1] += alpha * c10;
-        cc0[2] += alpha * c20;
-        cc0[3] += alpha * c30;
-        cc1[0] += alpha * c01;
-        cc1[1] += alpha * c11;
-        cc1[2] += alpha * c21;
-        cc1[3] += alpha * c31;
-      }
-      for (; i0 < m; ++i0) {  // row remainder
-        CD c0{}, c1{};
-        const std::complex<TS>* b0 = b + (j0 + 0) * ldb + k0;
-        const std::complex<TS>* b1 = b + (j0 + 1) * ldb + k0;
-        for (std::size_t p = 0; p < kb; ++p) {
-          const CD av{a[(k0 + p) * lda + i0]};
-          c0 += av * CD{b0[p]};
-          c1 += av * CD{b1[p]};
-        }
-        c[(j0 + 0) * ldc + i0] += alpha * c0;
-        c[(j0 + 1) * ldc + i0] += alpha * c1;
-      }
     }
-    if (n % kNr) {  // column remainder
-      const std::size_t j = n - 1;
-      for (std::size_t i0 = 0; i0 < m; ++i0) {
-        CD acc{};
-        const std::complex<TS>* bj = b + j * ldb + k0;
-        for (std::size_t p = 0; p < kb; ++p)
-          acc += CD{a[(k0 + p) * lda + i0]} * CD{bj[p]};
-        c[j * ldc + i0] += alpha * acc;
+    // Row tiles outer, so a tile's A rows stay in L1 across the panel.
+    for (std::size_t i = 0; i < full; i += R)
+      for (std::size_t jt = 0; jt < nb; jt += kNc) {
+        const std::size_t nc = std::min(kNc, nb - jt);
+        kTiles<TS, TD>[(kMv - 1) * kNc + nc - 1](
+            k, as + i, 2 * lda, bpack.data() + 2 * k * jt,
+            cs + 2 * (j0 + jt) * ldc + i, 2 * ldc);
       }
+    if (rem == 0) continue;
+    for (std::size_t jt = 0; jt < nb; jt += kNc) {
+      const std::size_t nc = std::min(kNc, nb - jt);
+      TD* cj = cs + 2 * (j0 + jt) * ldc + full;
+      alignas(64) TD cpad[R * kNc] = {};
+      for (std::size_t j = 0; j < nc; ++j)
+        std::copy_n(cj + 2 * j * ldc, rem, cpad + j * rpad);
+      kTiles<TS, TD>[(mv - 1) * kNc + nc - 1](
+          k, apad.data(), rpad, bpack.data() + 2 * k * jt, cpad, rpad);
+      for (std::size_t j = 0; j < nc; ++j)
+        std::copy_n(cpad + j * rpad, rem, cj + 2 * j * ldc);
     }
   }
 }

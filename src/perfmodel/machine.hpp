@@ -63,9 +63,11 @@ struct MachineParams {
   /// unknowns (Table III) the chunks stay large and the effect vanishes,
   /// which is exactly the paper's pattern.
   double gpu_underfill_cmacs = 4.0e7;
-  /// Number of kernel launches per MLFMA application (one per phase per
-  /// level, roughly).
-  double kernels_per_apply(int levels) const { return 6.0 * levels; }
+  /// Number of kernel launches per MLFMA application, one per pass of
+  /// MlfmaEngine: the leaf expansion, local expansion and near field run
+  /// once; aggregation and disaggregation once per parent-child level
+  /// pair (levels - 1 each); translation once per level.
+  double kernels_per_apply(int levels) const { return 3.0 * levels + 1.0; }
 
   /// Gemini-like interconnect. Documented constants by default;
   /// apply_measured_link() swaps in numbers from the transport

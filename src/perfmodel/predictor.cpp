@@ -4,13 +4,16 @@
 
 #include "common/rng.hpp"
 #include "dbim/dbim.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phantom/setup.hpp"
 
 namespace ffw {
 
 CalibratedRates calibrate(int nx, int applies) {
   CalibratedRates rates;
-  {  // Per-phase rates from real engine timings.
+  {  // Per-phase rates from real engine timings, on one thread: the rates
+     // are per core and MachineParams::cpu_node_factor supplies the
+     // node's cores.
     Grid grid(nx);
     QuadTree tree(grid);
     MlfmaEngine engine(tree);
@@ -18,6 +21,8 @@ CalibratedRates calibrate(int nx, int applies) {
     Rng rng(71);
     cvec x(n), y(n);
     rng.fill_cnormal(x);
+    const int saved_threads = num_threads();
+    set_num_threads(1);
     engine.apply(x, y);  // warm-up (touches all tables)
     engine.clear_phase_times();
     for (int i = 0; i < applies; ++i) engine.apply(x, y);
@@ -26,6 +31,7 @@ CalibratedRates calibrate(int nx, int applies) {
       const double t = engine.phase_times().seconds[p] / applies;
       rates.cmacs_per_s[p] = t > 0.0 ? work.cmacs[p] / t : 1e9;
     }
+    set_num_threads(saved_threads);
   }
   {  // Solver shape from a real small reconstruction.
     // A representative regime: a multi-wavelength domain and a contrast

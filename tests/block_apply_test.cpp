@@ -3,6 +3,8 @@
 // engine, across tree depths including the degenerate near-only tree.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hpp"
 #include "linalg/block.hpp"
 #include "linalg/kernels.hpp"
@@ -51,6 +53,36 @@ TEST_P(BlockApplySweep, BlockApplyMatchesLoopedApply) {
       den += std::norm(want[i]);
     }
     EXPECT_LT(std::sqrt(num), 1e-12 * std::sqrt(den))
+        << "nx=" << c.nx << " nrhs=" << c.nrhs << " col=" << r;
+  }
+}
+
+// Companion of the test above: every phase treats the block's columns
+// independently and in the single-vector order, so the columns agree byte
+// for byte, not only to 1e-12.
+TEST_P(BlockApplySweep, BlockApplyMatchesLoopedApplyBitForBit) {
+  const Case c = GetParam();
+  Grid grid(c.nx);
+  QuadTree tree(grid);
+  MlfmaEngine engine(tree);
+  const std::size_t n = grid.num_pixels();
+  const BlockLayout lo = engine_layout(tree, c.nrhs);
+
+  Rng rng(static_cast<std::uint64_t>(100 * c.nx + c.nrhs));
+  std::vector<cvec> cols(c.nrhs);
+  cvec xb(lo.size()), yb(lo.size());
+  for (std::size_t r = 0; r < c.nrhs; ++r) {
+    cols[r].resize(n);
+    rng.fill_cnormal(cols[r]);
+    block_col_set(lo, xb, r, cols[r]);
+  }
+  engine.apply_block(xb, yb, c.nrhs);
+
+  cvec want(n), got(n);
+  for (std::size_t r = 0; r < c.nrhs; ++r) {
+    engine.apply(cols[r], want);
+    block_col_get(lo, yb, r, got);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), n * sizeof(cplx)))
         << "nx=" << c.nx << " nrhs=" << c.nrhs << " col=" << r;
   }
 }

@@ -1,6 +1,10 @@
 // Dense/banded/diagonal linear-algebra substrate tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "linalg/banded.hpp"
 #include "linalg/cmatrix.hpp"
@@ -57,6 +61,108 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{5, 3, 7}, std::tuple{64, 64, 64},
                       std::tuple{74, 9, 64}, std::tuple{13, 1, 250},
                       std::tuple{8, 2, 129}, std::tuple{3, 5, 2}));
+
+// The GEMM kernel's rounding contract (DESIGN.md Sec. 8): every element
+// of C accumulates its k terms in ascending order, each term spelled
+//   c += (fma(br, ar, -(bi*ai)), fma(br, ai, bi*ar)),
+// with A and B widened to the accumulation scalar TD first. This is the
+// scalar reference the tests below hold the kernel to, byte for byte.
+template <typename TS, typename TD>
+void pinned_fma_gemm(std::size_t m, std::size_t n, std::size_t k,
+                     const std::complex<TS>* a, std::size_t lda,
+                     const std::complex<TS>* b, std::size_t ldb, bool beta1,
+                     std::complex<TD>* c, std::size_t ldc) {
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < m; ++i) {
+      TD cr = beta1 ? c[j * ldc + i].real() : TD(0);
+      TD ci = beta1 ? c[j * ldc + i].imag() : TD(0);
+      for (std::size_t p = 0; p < k; ++p) {
+        const TD ar = a[p * lda + i].real(), ai = a[p * lda + i].imag();
+        const TD br = b[j * ldb + p].real(), bi = b[j * ldb + p].imag();
+        cr += std::fma(br, ar, -(bi * ai));
+        ci += std::fma(br, ai, bi * ar);
+      }
+      c[j * ldc + i] = {cr, ci};
+    }
+}
+
+template <typename T>
+std::vector<std::complex<T>> random_cvec(std::size_t n, Rng& rng) {
+  std::vector<std::complex<T>> v(n);
+  for (auto& z : v) {
+    const cplx w = rng.cnormal();
+    z = {static_cast<T>(w.real()), static_cast<T>(w.imag())};
+  }
+  return v;
+}
+
+template <typename TS, typename TD>
+void expect_matches_pinned_reference() {
+  using CD = std::complex<TD>;
+  for (const std::size_t m : {1, 3, 5, 18, 22, 30, 64, 74, 256})
+    for (const std::size_t n : {4, 8, 16})
+      for (const std::size_t k : {22, 64, 200})
+        for (const bool beta1 : {false, true}) {
+          Rng rng(1000 * m + 100 * n + k);
+          const auto a = random_cvec<TS>(m * k, rng);
+          const auto b = random_cvec<TS>(k * n, rng);
+          auto got = random_cvec<TD>(m * n, rng);
+          auto want = got;
+          gemm_raw_t<TS, TD>(m, n, k, CD{TD(1)}, a.data(), m, b.data(), k,
+                             beta1 ? CD{TD(1)} : CD{}, got.data(), m);
+          pinned_fma_gemm<TS, TD>(m, n, k, a.data(), m, b.data(), k, beta1,
+                                  want.data(), m);
+          EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                   got.size() * sizeof(CD)))
+              << "m=" << m << " n=" << n << " k=" << k << " beta=" << beta1;
+        }
+}
+
+TEST(Gemm, WidePathMatchesPinnedFmaReference) {
+#ifndef __FMA__
+  GTEST_SKIP() << "built without FMA instructions (__FMA__ undefined): the "
+                  "kernel takes its unfused multiply-then-add form, which "
+                  "the std::fma reference does not describe";
+#endif
+  expect_matches_pinned_reference<double, double>();
+  expect_matches_pinned_reference<float, float>();
+  expect_matches_pinned_reference<float, double>();
+}
+
+// Every column of C depends only on its own column of B: column j of an
+// n-wide product is the 1-wide product, byte for byte, whatever n (and so
+// whichever column tile width) and whatever the leading dimensions. Holds
+// on every build, with or without FMA.
+template <typename TS, typename TD>
+void expect_columns_match_single_column_products() {
+  using CD = std::complex<TD>;
+  const std::size_t m = 37, k = 29;
+  const std::size_t lda = m + 3, ldb = k + 2, ldc = m + 1;
+  for (std::size_t n = 1; n <= 17; ++n) {
+    Rng rng(77 + n);
+    const auto a = random_cvec<TS>(lda * k, rng);
+    const auto b = random_cvec<TS>(ldb * n, rng);
+    const auto c0 = random_cvec<TD>(ldc * n, rng);
+    auto wide = c0;
+    gemm_raw_t<TS, TD>(m, n, k, CD{TD(1)}, a.data(), lda, b.data(), ldb,
+                       CD{TD(1)}, wide.data(), ldc);
+    for (std::size_t j = 0; j < n; ++j) {
+      std::vector<CD> col(c0.begin() + static_cast<std::ptrdiff_t>(j * ldc),
+                          c0.begin() + static_cast<std::ptrdiff_t>(j * ldc + m));
+      gemm_raw_t<TS, TD>(m, 1, k, CD{TD(1)}, a.data(), lda,
+                         b.data() + j * ldb, ldb, CD{TD(1)}, col.data(), m);
+      EXPECT_EQ(0, std::memcmp(col.data(), wide.data() + j * ldc,
+                               m * sizeof(CD)))
+          << "n=" << n << " column " << j;
+    }
+  }
+}
+
+TEST(Gemm, ColumnsMatchSingleColumnProductsBitForBit) {
+  expect_columns_match_single_column_products<double, double>();
+  expect_columns_match_single_column_products<float, float>();
+  expect_columns_match_single_column_products<float, double>();
+}
 
 TEST(Gemm, HermitianVariantMatchesNaive) {
   Rng rng(99);
